@@ -21,11 +21,11 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use sgs_core::fgp::{SamplerMode, SamplerPlan, SubgraphSampler};
 use sgs_graph::{gen, Pattern};
-use sgs_query::exec::{answer_insertion_batch, run_insertion, run_turnstile};
+use sgs_query::exec::{answer_batch, run_insertion, run_turnstile};
 use sgs_query::reference::{
     answer_insertion_batch_reference, run_insertion_reference, run_turnstile_reference,
 };
-use sgs_query::{Parallel, Query, RoundAdaptive};
+use sgs_query::{Model, Parallel, PassOpts, Query, RoundAdaptive};
 use sgs_stream::hash::split_seed;
 use sgs_stream::{EdgeStream, InsertionStream, TurnstileStream};
 use std::hint::black_box;
@@ -77,7 +77,13 @@ fn capture_batches(
         }
         pass += 1;
         let pass_seed = split_seed(exec_seed, pass);
-        let (a, _) = answer_insertion_batch(&batch, stream, pass_seed);
+        let (a, _) = answer_batch(
+            Model::Insertion,
+            &batch,
+            stream,
+            pass_seed,
+            PassOpts::default(),
+        );
         batches.push((batch, pass_seed));
         answers = a;
     }
@@ -103,7 +109,13 @@ fn bench_insertion_pass(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("router", k), &batches, |b, batches| {
             b.iter(|| {
                 for (batch, seed) in batches {
-                    black_box(answer_insertion_batch(batch, &stream, *seed));
+                    black_box(answer_batch(
+                        Model::Insertion,
+                        batch,
+                        &stream,
+                        *seed,
+                        PassOpts::default(),
+                    ));
                 }
             });
         });
@@ -140,7 +152,13 @@ fn bench_insertion_pass_relaxed(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("router", k), &batches, |b, batches| {
             b.iter(|| {
                 for (batch, seed) in batches {
-                    black_box(answer_insertion_batch(batch, &stream, *seed));
+                    black_box(answer_batch(
+                        Model::Insertion,
+                        batch,
+                        &stream,
+                        *seed,
+                        PassOpts::default(),
+                    ));
                 }
             });
         });

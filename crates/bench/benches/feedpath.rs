@@ -25,9 +25,9 @@
 
 use sgs_core::fgp::{SamplerMode, SamplerPlan, SubgraphSampler};
 use sgs_graph::{gen, Pattern};
-use sgs_query::exec::{answer_insertion_batch_with_block, answer_turnstile_batch_with_block};
-use sgs_query::sharded::answer_insertion_batch_sharded_with_exec;
-use sgs_query::{ExecPolicy, Parallel, PassOpts, Query, RoundAdaptive, RouterArena};
+use sgs_query::exec::answer_batch;
+use sgs_query::sharded::answer_batch_sharded;
+use sgs_query::{ExecPolicy, Model, Parallel, PassOpts, Query, RoundAdaptive, RouterArena};
 use sgs_stream::flat::{FlatIndex, ABSENT};
 use sgs_stream::hash::{split_seed, splitmix64, FastRng, SeededHash};
 use sgs_stream::l0::L0Sampler;
@@ -285,9 +285,21 @@ fn capture_batches(
         pass += 1;
         let pass_seed = split_seed(exec_seed, pass);
         let (a, _) = if turnstile {
-            answer_turnstile_batch_with_block(&batch, stream, pass_seed, 0)
+            answer_batch(
+                Model::Turnstile,
+                &batch,
+                stream,
+                pass_seed,
+                PassOpts::with_block(0),
+            )
         } else {
-            answer_insertion_batch_with_block(&batch, stream, pass_seed, 0)
+            answer_batch(
+                Model::Insertion,
+                &batch,
+                stream,
+                pass_seed,
+                PassOpts::with_block(0),
+            )
         };
         batches.push((batch, pass_seed));
         answers = a;
@@ -312,12 +324,20 @@ fn bench_pass(
     let run_set = |block: usize| {
         for (batch, seed) in batches {
             if turnstile {
-                black_box(answer_turnstile_batch_with_block(
-                    batch, stream, *seed, block,
+                black_box(answer_batch(
+                    Model::Turnstile,
+                    batch,
+                    stream,
+                    *seed,
+                    PassOpts::with_block(block),
                 ));
             } else {
-                black_box(answer_insertion_batch_with_block(
-                    batch, stream, *seed, block,
+                black_box(answer_batch(
+                    Model::Insertion,
+                    batch,
+                    stream,
+                    *seed,
+                    PassOpts::with_block(block),
                 ));
             }
         }
@@ -368,16 +388,28 @@ fn bench_sharded_composition(
             let mut arena = RouterArena::new();
             for _ in 0..2 {
                 for (batch, seed) in batches {
-                    black_box(answer_insertion_batch_sharded_with_exec(
-                        batch, &feed, *seed, &mut arena, opts, policy,
+                    black_box(answer_batch_sharded(
+                        Model::Insertion,
+                        batch,
+                        &feed,
+                        *seed,
+                        &mut arena,
+                        opts,
+                        policy,
                     ));
                 }
             }
             let _ = arena.take_shard_pass_nanos();
             for _ in 0..samples {
                 for (batch, seed) in batches {
-                    black_box(answer_insertion_batch_sharded_with_exec(
-                        batch, &feed, *seed, &mut arena, opts, policy,
+                    black_box(answer_batch_sharded(
+                        Model::Insertion,
+                        batch,
+                        &feed,
+                        *seed,
+                        &mut arena,
+                        opts,
+                        policy,
                     ));
                 }
             }
@@ -469,13 +501,37 @@ fn main() {
     // scalar one (the test suites prove this exhaustively; keep the bench
     // honest about what it measured).
     for (batch, seed) in &ins_batches {
-        let (a, _) = answer_insertion_batch_with_block(batch, &ins, *seed, 0);
-        let (b, _) = answer_insertion_batch_with_block(batch, &ins, *seed, 64);
+        let (a, _) = answer_batch(
+            Model::Insertion,
+            batch,
+            &ins,
+            *seed,
+            PassOpts::with_block(0),
+        );
+        let (b, _) = answer_batch(
+            Model::Insertion,
+            batch,
+            &ins,
+            *seed,
+            PassOpts::with_block(64),
+        );
         assert_eq!(a, b, "blocked insertion answers diverged from scalar");
     }
     for (batch, seed) in &tst_batches {
-        let (a, _) = answer_turnstile_batch_with_block(batch, &tst, *seed, 0);
-        let (b, _) = answer_turnstile_batch_with_block(batch, &tst, *seed, 64);
+        let (a, _) = answer_batch(
+            Model::Turnstile,
+            batch,
+            &tst,
+            *seed,
+            PassOpts::with_block(0),
+        );
+        let (b, _) = answer_batch(
+            Model::Turnstile,
+            batch,
+            &tst,
+            *seed,
+            PassOpts::with_block(64),
+        );
         assert_eq!(a, b, "blocked turnstile answers diverged from scalar");
     }
     println!("\nequivalence check: blocked answers identical to scalar ✓");

@@ -24,8 +24,8 @@
 
 use sgs_core::fgp::{SamplerMode, SamplerPlan, SubgraphSampler};
 use sgs_graph::{gen, Pattern};
-use sgs_query::exec::answer_turnstile_batch_with_opts;
-use sgs_query::{L0Mode, Parallel, PassOpts, Query, RoundAdaptive};
+use sgs_query::exec::answer_batch;
+use sgs_query::{L0Mode, Model, Parallel, PassOpts, Query, RoundAdaptive};
 use sgs_stream::hash::{split_seed, FastRng};
 use sgs_stream::l0::L0Sampler;
 use sgs_stream::{EdgeStream, TurnstileStream};
@@ -158,8 +158,13 @@ fn capture_batches(trials: usize, stream: &TurnstileStream) -> Vec<(Vec<Query>, 
         }
         pass += 1;
         let pass_seed = split_seed(9, pass);
-        let (a, _) =
-            answer_turnstile_batch_with_opts(&batch, stream, pass_seed, PassOpts::oracle());
+        let (a, _) = answer_batch(
+            Model::Turnstile,
+            &batch,
+            stream,
+            pass_seed,
+            PassOpts::oracle(),
+        );
         batches.push((batch, pass_seed));
         answers = a;
     }
@@ -186,7 +191,7 @@ fn bench_pass(
             let opts = PassOpts::with_block(block).l0(mode);
             let run_set = || {
                 for (batch, seed) in batches {
-                    black_box(answer_turnstile_batch_with_opts(batch, stream, *seed, opts));
+                    black_box(answer_batch(Model::Turnstile, batch, stream, *seed, opts));
                 }
             };
             run_set(); // warm-up
@@ -241,11 +246,11 @@ fn main() {
     // Equivalence first: every answer set must be identical across the
     // four mode × block settings before any timing is trusted.
     for (batch, seed) in &batches {
-        let oracle = answer_turnstile_batch_with_opts(batch, &tst, *seed, PassOpts::oracle()).0;
+        let oracle = answer_batch(Model::Turnstile, batch, &tst, *seed, PassOpts::oracle()).0;
         for &mode in &[L0Mode::Predicated, L0Mode::Dispatch] {
             for &block in pass_blocks {
                 let opts = PassOpts::with_block(block).l0(mode);
-                let got = answer_turnstile_batch_with_opts(batch, &tst, *seed, opts).0;
+                let got = answer_batch(Model::Turnstile, batch, &tst, *seed, opts).0;
                 assert_eq!(got, oracle, "{mode:?}/{block} answers diverged");
             }
         }

@@ -20,13 +20,11 @@
 //! for CI size); `SGS_BENCH_JSON=<path>` writes the record committed as
 //! `BENCH_multiplex.json`.
 
-use sgs_core::fgp::{
-    estimate_insertion_on_feed_with_exec, estimate_multi_insertion, MultiQuerySpec,
-};
+use sgs_core::fgp::{estimate_multi, estimate_on_feed, QuerySpec};
 use sgs_core::{CountEstimate, SamplerMode};
 use sgs_graph::{gen, Pattern};
 use sgs_query::exec::PassOpts;
-use sgs_query::{ExecPolicy, ReservoirMode, RouterArena};
+use sgs_query::{ExecPolicy, Model, ReservoirMode, RouterArena};
 use sgs_stream::{InsertionStream, ShardedFeed};
 use std::hint::black_box;
 use std::time::Instant;
@@ -59,7 +57,7 @@ fn time<R>(samples: usize, mut f: impl FnMut() -> R) -> u64 {
 /// patterns, indexed/relaxed samplers, offer/skip reservoirs, varied
 /// trial counts, distinct seeds — the traffic shape the QuerySet exists
 /// to serve.
-fn mixed_specs(n: usize, trials: usize) -> Vec<MultiQuerySpec> {
+fn mixed_specs(n: usize, trials: usize) -> Vec<QuerySpec> {
     (0..n)
         .map(|i| {
             let (pattern, sampler) = if i % 2 == 0 {
@@ -67,7 +65,7 @@ fn mixed_specs(n: usize, trials: usize) -> Vec<MultiQuerySpec> {
             } else {
                 (Pattern::cycle(5), SamplerMode::Relaxed)
             };
-            MultiQuerySpec {
+            QuerySpec {
                 pattern,
                 trials: trials + (i % 4) * (trials / 4).max(1),
                 seed: 1_000 + i as u64,
@@ -84,7 +82,7 @@ fn mixed_specs(n: usize, trials: usize) -> Vec<MultiQuerySpec> {
 
 /// N independent estimator runs — the pre-multiplexer serving cost.
 fn solo_estimates(
-    specs: &[MultiQuerySpec],
+    specs: &[QuerySpec],
     feed: &ShardedFeed,
     arena: &mut RouterArena,
     block: usize,
@@ -92,14 +90,12 @@ fn solo_estimates(
     specs
         .iter()
         .map(|spec| {
-            estimate_insertion_on_feed_with_exec(
-                &spec.pattern,
+            estimate_on_feed(
+                spec,
+                Model::Insertion,
                 feed,
-                spec.trials,
-                spec.seed,
                 arena,
-                PassOpts::with_block(block).reservoir(spec.reservoir),
-                spec.sampler,
+                PassOpts::with_block(block),
                 ExecPolicy::serial(),
             )
             .unwrap()
@@ -150,8 +146,9 @@ fn main() {
         // Byte-identity guard BEFORE timing: every multiplexed estimate
         // equals its solo run bit for bit.
         let mut mux_arena = RouterArena::new();
-        let (mux_ests, admission) = estimate_multi_insertion(
+        let (mux_ests, admission) = estimate_multi(
             &specs,
+            Model::Insertion,
             &feed,
             &mut mux_arena,
             PassOpts::with_block(block),
@@ -179,8 +176,9 @@ fn main() {
             solo_estimates(&specs, &feed, &mut solo_arena, block)
         });
         let mux_ns = time(samples, || {
-            estimate_multi_insertion(
+            estimate_multi(
                 &specs,
+                Model::Insertion,
                 &feed,
                 &mut mux_arena,
                 PassOpts::with_block(block),

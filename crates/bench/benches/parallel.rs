@@ -30,10 +30,12 @@
 
 use sgs_core::fgp::{SamplerMode, SamplerPlan, SubgraphSampler};
 use sgs_graph::{gen, Pattern};
-use sgs_query::broadcast::{answer_insertion_batch_broadcast_with_opts, BroadcastOpts};
-use sgs_query::exec::answer_insertion_batch;
-use sgs_query::sharded::answer_insertion_batch_sharded_with_exec;
-use sgs_query::{ExecPolicy, Parallel, PassOpts, Query, RoundAdaptive, RouterArena, ShardRuntime};
+use sgs_query::broadcast::{answer_batch_broadcast, BroadcastOpts};
+use sgs_query::exec::answer_batch;
+use sgs_query::sharded::answer_batch_sharded;
+use sgs_query::{
+    ExecPolicy, Model, Parallel, PassOpts, Query, RoundAdaptive, RouterArena, ShardRuntime,
+};
 use sgs_stream::broadcast::{Broadcast, RoutedProducer, TryNext};
 use sgs_stream::{InsertionStream, MutexBroadcast, ShardMap, ShardedFeed};
 use std::hint::black_box;
@@ -184,7 +186,13 @@ fn capture_batches(
         }
         pass += 1;
         let pass_seed = sgs_stream::hash::split_seed(exec_seed, pass);
-        let (a, _) = answer_insertion_batch(&batch, stream, pass_seed);
+        let (a, _) = answer_batch(
+            Model::Insertion,
+            &batch,
+            stream,
+            pass_seed,
+            PassOpts::default(),
+        );
         batches.push((batch, pass_seed));
         answers = a;
     }
@@ -202,7 +210,8 @@ fn run_spawn_per_pass(
     let mut arena = RouterArena::new();
     time(samples, || {
         for (batch, seed) in batches {
-            black_box(answer_insertion_batch_broadcast_with_opts(
+            black_box(answer_batch_broadcast(
+                Model::Insertion,
                 batch,
                 feed,
                 *seed,
@@ -226,7 +235,8 @@ fn run_persistent(
     let mut rt = ShardRuntime::new(feed.num_shards(), bcast.policy);
     time(samples, || {
         for (batch, seed) in batches {
-            black_box(rt.insertion_pass(
+            black_box(rt.pass(
+                Model::Insertion,
                 batch,
                 feed,
                 *seed,
@@ -251,7 +261,8 @@ fn run_serial_critical(
     let opts = PassOpts::default();
     for _ in 0..2 {
         for (batch, seed) in batches {
-            black_box(answer_insertion_batch_sharded_with_exec(
+            black_box(answer_batch_sharded(
+                Model::Insertion,
                 batch,
                 feed,
                 *seed,
@@ -266,7 +277,8 @@ fn run_serial_critical(
     for _ in 0..samples {
         let t0 = Instant::now();
         for (batch, seed) in batches {
-            black_box(answer_insertion_batch_sharded_with_exec(
+            black_box(answer_batch_sharded(
+                Model::Insertion,
                 batch,
                 feed,
                 *seed,
@@ -345,8 +357,15 @@ fn main() {
         let mut arena = RouterArena::new();
         let mut rt = ShardRuntime::new(shards, ExecPolicy::threaded());
         for (batch, seed) in &batches {
-            let (want, _) = answer_insertion_batch(batch, &stream2, *seed);
-            let (a, _) = answer_insertion_batch_broadcast_with_opts(
+            let (want, _) = answer_batch(
+                Model::Insertion,
+                batch,
+                &stream2,
+                *seed,
+                PassOpts::default(),
+            );
+            let (a, _) = answer_batch_broadcast(
+                Model::Insertion,
                 batch,
                 &feed2,
                 *seed,
@@ -355,7 +374,8 @@ fn main() {
                 BroadcastOpts::with_policy(ExecPolicy::threaded()),
                 &mut [],
             );
-            let (b, _) = rt.insertion_pass(
+            let (b, _) = rt.pass(
+                Model::Insertion,
                 batch,
                 &feed2,
                 *seed,
@@ -400,7 +420,8 @@ fn main() {
         let mut ua = RouterArena::new();
         let mut ba = RouterArena::new();
         for (batch, seed) in &hub_batches {
-            let (a, _) = answer_insertion_batch_sharded_with_exec(
+            let (a, _) = answer_batch_sharded(
+                Model::Insertion,
                 batch,
                 &uniform,
                 *seed,
@@ -408,7 +429,8 @@ fn main() {
                 PassOpts::default(),
                 ExecPolicy::serial(),
             );
-            let (b, _) = answer_insertion_batch_sharded_with_exec(
+            let (b, _) = answer_batch_sharded(
+                Model::Insertion,
                 batch,
                 &balanced,
                 *seed,

@@ -17,14 +17,10 @@
 //! size); `SGS_BENCH_JSON=<path>` writes the record committed as
 //! `BENCH_persist.json`.
 
-use sgs_core::fgp::{
-    estimate_insertion_checkpointed, estimate_insertion_on_feed_with_opts,
-    estimate_turnstile_checkpointed, estimate_turnstile_on_feed_with_block,
-};
-use sgs_core::{CountEstimate, SamplerMode};
+use sgs_core::fgp::{estimate_checkpointed, estimate_on_feed};
+use sgs_core::{CountEstimate, QuerySpec};
 use sgs_graph::{gen, Pattern};
-use sgs_query::exec::PassOpts;
-use sgs_query::{CheckpointSession, RouterArena};
+use sgs_query::{CheckpointSession, ExecPolicy, Model, PassOpts, RouterArena};
 use sgs_stream::{InsertionStream, ShardedFeed, TurnstileStream};
 use std::hint::black_box;
 use std::path::{Path, PathBuf};
@@ -91,28 +87,27 @@ fn make_feed(cfg: Cfg, n_v: usize, m: usize) -> ShardedFeed {
     }
 }
 
-fn run_plain(cfg: Cfg, feed: &ShardedFeed) -> CountEstimate {
-    let mut arena = RouterArena::new();
-    if cfg.model == "turnstile" {
-        estimate_turnstile_on_feed_with_block(
-            &Pattern::triangle(),
-            feed,
-            cfg.trials,
-            SEED,
-            &mut arena,
-            PassOpts::default().block,
-        )
+/// The stream model and estimate spec `cfg` runs.
+fn model_and_spec(cfg: Cfg) -> (Model, QuerySpec) {
+    let model = if cfg.model == "turnstile" {
+        Model::Turnstile
     } else {
-        estimate_insertion_on_feed_with_opts(
-            &Pattern::triangle(),
-            feed,
-            cfg.trials,
-            SEED,
-            &mut arena,
-            PassOpts::default(),
-            SamplerMode::Indexed,
-        )
-    }
+        Model::Insertion
+    };
+    (model, QuerySpec::new(Pattern::triangle(), cfg.trials, SEED))
+}
+
+fn run_plain(cfg: Cfg, feed: &ShardedFeed) -> CountEstimate {
+    let (model, spec) = model_and_spec(cfg);
+    let mut arena = RouterArena::new();
+    estimate_on_feed(
+        &spec,
+        model,
+        feed,
+        &mut arena,
+        PassOpts::default(),
+        ExecPolicy::default(),
+    )
     .unwrap()
 }
 
@@ -126,59 +121,19 @@ fn run_checkpointed(
     if let Some(c) = crash_after {
         session.set_crash_after(c);
     }
+    let (model, spec) = model_and_spec(cfg);
     let mut arena = RouterArena::new();
-    let est = if cfg.model == "turnstile" {
-        estimate_turnstile_checkpointed(
-            &Pattern::triangle(),
-            feed,
-            cfg.trials,
-            SEED,
-            &mut arena,
-            PassOpts::default(),
-            &mut session,
-        )
-    } else {
-        estimate_insertion_checkpointed(
-            &Pattern::triangle(),
-            feed,
-            cfg.trials,
-            SEED,
-            &mut arena,
-            PassOpts::default(),
-            SamplerMode::Indexed,
-            &mut session,
-        )
-    }
-    .unwrap();
+    let opts = PassOpts::default();
+    let est = estimate_checkpointed(&spec, model, feed, &mut arena, opts, &mut session).unwrap();
     (est, session.blocks_processed())
 }
 
 fn resume_run(cfg: Cfg, dir: &Path) -> CountEstimate {
     let (mut session, feed) = CheckpointSession::resume(dir, SNAP_EVERY).unwrap();
+    let (model, spec) = model_and_spec(cfg);
     let mut arena = RouterArena::new();
-    let est = if cfg.model == "turnstile" {
-        estimate_turnstile_checkpointed(
-            &Pattern::triangle(),
-            &feed,
-            cfg.trials,
-            SEED,
-            &mut arena,
-            PassOpts::default(),
-            &mut session,
-        )
-    } else {
-        estimate_insertion_checkpointed(
-            &Pattern::triangle(),
-            &feed,
-            cfg.trials,
-            SEED,
-            &mut arena,
-            PassOpts::default(),
-            SamplerMode::Indexed,
-            &mut session,
-        )
-    }
-    .unwrap();
+    let opts = PassOpts::default();
+    let est = estimate_checkpointed(&spec, model, &feed, &mut arena, opts, &mut session).unwrap();
     est.expect("recovered run completes")
 }
 

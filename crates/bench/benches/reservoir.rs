@@ -28,8 +28,8 @@
 
 use sgs_core::fgp::{SamplerMode, SamplerPlan, SubgraphSampler};
 use sgs_graph::{gen, Pattern};
-use sgs_query::exec::{answer_insertion_batch_with_opts, insertion_pass_reservoir_draws, PassOpts};
-use sgs_query::{Parallel, Query, ReservoirMode, RoundAdaptive};
+use sgs_query::exec::{answer_batch, insertion_pass_reservoir_draws, PassOpts};
+use sgs_query::{Model, Parallel, Query, ReservoirMode, RoundAdaptive};
 use sgs_stream::hash::{split_seed, FastRng};
 use sgs_stream::reservoir::ReservoirBank;
 use sgs_stream::{EdgeStream, InsertionStream};
@@ -170,8 +170,13 @@ fn capture_batches(
         }
         pass += 1;
         let pass_seed = split_seed(exec_seed, pass);
-        let (a, _) =
-            answer_insertion_batch_with_opts(&batch, stream, pass_seed, PassOpts::default());
+        let (a, _) = answer_batch(
+            Model::Insertion,
+            &batch,
+            stream,
+            pass_seed,
+            PassOpts::default(),
+        );
         batches.push((batch, pass_seed));
         answers = a;
     }
@@ -201,9 +206,9 @@ fn bench_router_fed(ks: &[usize], stream: &InsertionStream, samples: usize) -> V
             let run = |mode: ReservoirMode| {
                 let opts = PassOpts::with_reservoir(mode);
                 // Warm-up, then timed.
-                black_box(answer_insertion_batch_with_opts(batch, stream, *seed, opts));
+                black_box(answer_batch(Model::Insertion, batch, stream, *seed, opts));
                 let ns = time(samples, || {
-                    black_box(answer_insertion_batch_with_opts(batch, stream, *seed, opts));
+                    black_box(answer_batch(Model::Insertion, batch, stream, *seed, opts));
                 });
                 let draws = insertion_pass_reservoir_draws(batch, stream, *seed, opts);
                 (ns, draws)
@@ -282,13 +287,15 @@ fn main() {
         );
         for (batch, seed) in &batches {
             for mode in [ReservoirMode::Offer, ReservoirMode::Skip] {
-                let (a, _) = answer_insertion_batch_with_opts(
+                let (a, _) = answer_batch(
+                    Model::Insertion,
                     batch,
                     &ins,
                     *seed,
                     PassOpts::with_block(0).reservoir(mode),
                 );
-                let (b, _) = answer_insertion_batch_with_opts(
+                let (b, _) = answer_batch(
+                    Model::Insertion,
                     batch,
                     &ins,
                     *seed,

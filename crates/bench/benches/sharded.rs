@@ -29,11 +29,9 @@
 
 use sgs_core::fgp::{SamplerMode, SamplerPlan, SubgraphSampler};
 use sgs_graph::{gen, Pattern};
-use sgs_query::exec::answer_insertion_batch;
-use sgs_query::sharded::{
-    answer_insertion_batch_sharded, answer_insertion_batch_sharded_with_exec,
-};
-use sgs_query::{ExecPolicy, Parallel, PassOpts, Query, RoundAdaptive, RouterArena};
+use sgs_query::exec::answer_batch;
+use sgs_query::sharded::answer_batch_sharded;
+use sgs_query::{ExecPolicy, Model, Parallel, PassOpts, Query, RoundAdaptive, RouterArena};
 use sgs_stream::hash::split_seed;
 use sgs_stream::{EdgeStream, InsertionStream, ShardedFeed};
 use std::hint::black_box;
@@ -69,7 +67,13 @@ fn capture_batches(
         }
         pass += 1;
         let pass_seed = split_seed(exec_seed, pass);
-        let (a, _) = answer_insertion_batch(&batch, stream, pass_seed);
+        let (a, _) = answer_batch(
+            Model::Insertion,
+            &batch,
+            stream,
+            pass_seed,
+            PassOpts::default(),
+        );
         batches.push((batch, pass_seed));
         answers = a;
     }
@@ -117,8 +121,14 @@ fn run_sharded(
     // Warm-up: allocator growth and page faults land here.
     for _ in 0..2 {
         for (batch, seed) in batches {
-            black_box(answer_insertion_batch_sharded_with_exec(
-                batch, feed, *seed, &mut arena, opts, policy,
+            black_box(answer_batch_sharded(
+                Model::Insertion,
+                batch,
+                feed,
+                *seed,
+                &mut arena,
+                opts,
+                policy,
             ));
         }
     }
@@ -127,8 +137,14 @@ fn run_sharded(
     for _ in 0..samples {
         let t0 = Instant::now();
         for (batch, seed) in batches {
-            black_box(answer_insertion_batch_sharded_with_exec(
-                batch, feed, *seed, &mut arena, opts, policy,
+            black_box(answer_batch_sharded(
+                Model::Insertion,
+                batch,
+                feed,
+                *seed,
+                &mut arena,
+                opts,
+                policy,
             ));
         }
         walls.push(t0.elapsed().as_nanos() as u64);
@@ -178,13 +194,25 @@ fn main() {
     let mut base_samples = Vec::with_capacity(samples);
     for _ in 0..2 {
         for (batch, seed) in &batches {
-            black_box(answer_insertion_batch(batch, &stream, *seed));
+            black_box(answer_batch(
+                Model::Insertion,
+                batch,
+                &stream,
+                *seed,
+                PassOpts::default(),
+            ));
         }
     }
     for _ in 0..samples {
         let t0 = Instant::now();
         for (batch, seed) in &batches {
-            black_box(answer_insertion_batch(batch, &stream, *seed));
+            black_box(answer_batch(
+                Model::Insertion,
+                batch,
+                &stream,
+                *seed,
+                PassOpts::default(),
+            ));
         }
         base_samples.push(t0.elapsed().as_nanos() as u64);
     }
@@ -227,8 +255,16 @@ fn main() {
         let feed = ShardedFeed::partition(&stream, *shard_counts.last().unwrap());
         let mut arena = RouterArena::new();
         for (batch, seed) in &batches {
-            let (a, _) = answer_insertion_batch(batch, &stream, *seed);
-            let (b, _) = answer_insertion_batch_sharded(batch, &feed, *seed, &mut arena);
+            let (a, _) = answer_batch(Model::Insertion, batch, &stream, *seed, PassOpts::default());
+            let (b, _) = answer_batch_sharded(
+                Model::Insertion,
+                batch,
+                &feed,
+                *seed,
+                &mut arena,
+                PassOpts::default(),
+                ExecPolicy::default(),
+            );
             assert_eq!(a, b, "sharded answers diverged from baseline");
         }
         println!("equivalence check: sharded answers identical to baseline ✓");
@@ -251,7 +287,7 @@ fn main() {
         rows.pop();
         rows.pop(); // trailing ",\n"
         let json = format!(
-            "{{\n  \"description\": \"Sharded stream pipeline (per-shard QueryRouters over a hash-partitioned ShardedFeed) vs the PR-1 single-router baseline (answer_insertion_batch), relaxed-f3 insertion workload. critical_path_ns = sum over passes of the slowest shard's isolated feed time = pass latency of a one-core-per-shard deployment; wall_auto_ns = actual wall clock under the default execution policy on this host. shard_load_ns = mean total feed nanos per shard over the timed iterations (RouterArena::shard_pass_nanos) - the per-shard load histogram behind the shard-aware-placement roadmap item. Regenerate: SGS_BENCH_JSON=<path> cargo bench -p sgs-bench --bench sharded\",\n  \"workload\": \"triangle bank, Relaxed f3, {trials} trials, gnm(800, 12000), 3 captured rounds, {updates} stream updates per answer set\",\n  \"host_cores\": {cores},\n  \"samples\": {samples}, \"statistic\": \"min over samples (additive scheduler noise on this box)\",\n  \"baseline_pr1_router_ns\": {baseline_ns},\n  \"sharded\": [\n{rows}\n  ]\n}}\n",
+            "{{\n  \"description\": \"Sharded stream pipeline (per-shard QueryRouters over a hash-partitioned ShardedFeed) vs the single-router baseline (exec::answer_batch), relaxed-f3 insertion workload. critical_path_ns = sum over passes of the slowest shard's isolated feed time = pass latency of a one-core-per-shard deployment; wall_auto_ns = actual wall clock under the default execution policy on this host. shard_load_ns = mean total feed nanos per shard over the timed iterations (RouterArena::shard_pass_nanos) - the per-shard load histogram behind the shard-aware-placement roadmap item. Regenerate: SGS_BENCH_JSON=<path> cargo bench -p sgs-bench --bench sharded\",\n  \"workload\": \"triangle bank, Relaxed f3, {trials} trials, gnm(800, 12000), 3 captured rounds, {updates} stream updates per answer set\",\n  \"host_cores\": {cores},\n  \"samples\": {samples}, \"statistic\": \"min over samples (additive scheduler noise on this box)\",\n  \"baseline_pr1_router_ns\": {baseline_ns},\n  \"sharded\": [\n{rows}\n  ]\n}}\n",
             trials = trials,
             updates = updates_per_set,
             cores = cores,

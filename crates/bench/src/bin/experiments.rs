@@ -1,4 +1,5 @@
-//! Experiment driver: regenerates every table in EXPERIMENTS.md.
+//! Experiment driver: regenerates every experiment table as markdown on
+//! stdout (one table per module of `sgs_bench::experiments`).
 //!
 //! ```sh
 //! cargo run -p sgs-bench --release --bin experiments             # all, full size

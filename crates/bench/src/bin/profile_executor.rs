@@ -5,9 +5,9 @@
 
 use sgs_core::fgp::{SamplerMode, SamplerPlan, SubgraphSampler};
 use sgs_graph::{gen, Pattern};
-use sgs_query::exec::{answer_insertion_batch, run_insertion};
+use sgs_query::exec::{answer_batch, run_insertion};
 use sgs_query::reference::{answer_insertion_batch_reference, run_insertion_reference};
-use sgs_query::{Parallel, QueryRouter, RoundAdaptive, RouterMode};
+use sgs_query::{Model, Parallel, PassOpts, QueryRouter, RoundAdaptive};
 use sgs_stream::hash::split_seed;
 use sgs_stream::{EdgeStream, InsertionStream};
 use std::hint::black_box;
@@ -54,13 +54,13 @@ fn main() {
         let mut build_time = Duration::MAX;
         for _ in 0..REPS {
             let t = Instant::now();
-            black_box(QueryRouter::build(&batch, RouterMode::Insertion));
+            black_box(QueryRouter::build(&batch, Model::Insertion));
             build_time = build_time.min(t.elapsed());
         }
         let mut feed_time = Duration::MAX;
         for _ in 0..REPS {
             let t = Instant::now();
-            let mut r = QueryRouter::build(&batch, RouterMode::Insertion);
+            let mut r = QueryRouter::build(&batch, Model::Insertion);
             let mut h = 0u64;
             stream.replay(&mut |u| r.feed(u, |s, e| h += (e - s) as u64));
             black_box(h);
@@ -69,7 +69,13 @@ fn main() {
         let mut whole_time = Duration::MAX;
         for _ in 0..REPS {
             let t = Instant::now();
-            black_box(answer_insertion_batch(&batch, &stream, pass_seed));
+            black_box(answer_batch(
+                Model::Insertion,
+                &batch,
+                &stream,
+                pass_seed,
+                PassOpts::default(),
+            ));
             whole_time = whole_time.min(t.elapsed());
         }
         let mut ref_time = Duration::MAX;
@@ -83,7 +89,13 @@ fn main() {
              whole={whole_time:?} reference={ref_time:?}",
             batch.len()
         );
-        let (real, _) = answer_insertion_batch(&batch, &stream, pass_seed);
+        let (real, _) = answer_batch(
+            Model::Insertion,
+            &batch,
+            &stream,
+            pass_seed,
+            PassOpts::default(),
+        );
         answers = real;
     }
 

@@ -1,4 +1,5 @@
-//! Experiment implementations (see DESIGN.md §4 for the index).
+//! Experiment implementations, one module per experiment: `eN_<topic>`
+//! is experiment EN, and its module docs name the claim it checks.
 
 pub mod e10_example;
 pub mod e11_ablation_ft;

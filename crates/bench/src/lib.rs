@@ -1,10 +1,11 @@
 //! # sgs-bench — experiment harness
 //!
-//! Regenerates every experiment table of the reproduction (E1–E10 in
-//! DESIGN.md §4). The paper is a theory paper without an empirical
+//! Regenerates every experiment table of the reproduction (E1–E12; the
+//! index is the module list of [`experiments`], one module per
+//! experiment). The paper is a theory paper without an empirical
 //! evaluation section, so these tables validate each theorem's
-//! quantitative claim empirically; EXPERIMENTS.md records claim vs
-//! measurement.
+//! quantitative claim empirically: each table states the claim it
+//! checks next to the measurement.
 //!
 //! Run with:
 //!

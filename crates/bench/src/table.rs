@@ -37,7 +37,8 @@ impl Table {
         self.notes.push(s.into());
     }
 
-    /// Render as GitHub-flavored markdown (for EXPERIMENTS.md).
+    /// Render as GitHub-flavored markdown (what the `experiments` binary
+    /// prints).
     pub fn to_markdown(&self) -> String {
         let mut out = format!("### {}\n\n", self.title);
         out.push_str(&format!("| {} |\n", self.header.join(" | ")));

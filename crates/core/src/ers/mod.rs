@@ -9,7 +9,7 @@
 //! Bera–Seshadhri conjecture.
 //!
 //! * [`params`] — Algorithm 2's parameters, in `Theory` and `Practical`
-//!   regimes (see DESIGN.md for the substitution rationale),
+//!   regimes (the module docs give the substitution rationale),
 //! * [`chain`] — the `StreamSet` sampling-chain primitive (Algorithm 4),
 //! * [`act`] — `StrAct` prefix-activity estimation (Algorithm 18),
 //! * [`approx`] — `StreamApproxClique` (Algorithm 3) with the

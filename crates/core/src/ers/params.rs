@@ -8,7 +8,8 @@
 //! library also provides a **practical** mode with the *same functional
 //! form* — sample sizes still scale as `m·λ^{r-2}/#K_r`, which is the
 //! content of Theorem 2 and what experiment E7 verifies — but calibrated
-//! leading constants. DESIGN.md §1 records this substitution.
+//! leading constants. The substitution changes constants only, never the
+//! functional form, so every scaling claim of the paper stays testable.
 
 /// Leading-constant regime.
 #[derive(Clone, Copy, Debug, PartialEq)]

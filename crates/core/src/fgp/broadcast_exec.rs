@@ -1,16 +1,16 @@
 //! Broadcast estimator bundles: estimator + baseline + exact oracle +
 //! raw counters from **one** ingest.
 //!
-//! `estimate_*_threaded` shards the stream but still dedicates every
-//! logical pass to the FGP estimator; any baseline or ground-truth
-//! consumer had to replay the stream privately on top. The broadcast
-//! entry points here attach those consumers to the **first pass's
-//! broadcast ring** instead:
+//! [`crate::fgp::parallel_exec::estimate_on_feed`] shards the stream
+//! but still dedicates every logical pass to the FGP estimator; any
+//! baseline or ground-truth consumer had to replay the stream privately
+//! on top. [`estimate_broadcast`] attaches those consumers to the
+//! **first pass's broadcast ring** instead:
 //!
 //! * the FGP trial bank (the paper's 3-round estimator) drives the
 //!   per-shard routers exactly as before — its estimate is
-//!   **byte-identical** to [`super::parallel_exec::estimate_insertion_on_feed_with_opts`]
-//!   / the single-stream executors with the same seed;
+//!   **byte-identical** to [`super::parallel_exec::estimate_on_feed`] /
+//!   the single-stream executors with the same spec;
 //! * the TRIÈST baseline ([`TriestStream`], insertion-only) consumes the
 //!   same ring, byte-identical to [`crate::baselines::triest::estimate_triest`]
 //!   on a private replay with seed [`triest_seed`]`(seed)`;
@@ -26,15 +26,10 @@
 //! consumer to its single-stream answers.
 
 use crate::baselines::triest::{TriestEstimate, TriestStream};
-use crate::fgp::counter::{build_parallel, CountEstimate};
-use crate::fgp::plan::SamplerPlan;
-use crate::fgp::sampler::SamplerMode;
+use crate::fgp::counter::{CountEstimate, QuerySpec};
 use sgs_graph::{exact, AdjListGraph, CsrGraph, Pattern};
-use sgs_query::broadcast::{
-    run_insertion_broadcast_with_opts, run_turnstile_broadcast_with_opts, BroadcastOpts, SideSink,
-};
-use sgs_query::exec::PassOpts;
-use sgs_query::RouterArena;
+use sgs_query::broadcast::{run_broadcast, BroadcastOpts, SideSink};
+use sgs_query::{Model, PassOpts, RouterArena};
 use sgs_stream::hash::split_seed;
 use sgs_stream::sharded::RoutedUpdate;
 use sgs_stream::ShardedFeed;
@@ -91,7 +86,7 @@ fn build_sinks<'a>(
     graph: &'a mut Option<AdjListGraph>,
     raw: &'a mut u64,
     extra: &'a mut [u64],
-    insertion: bool,
+    model: Model,
 ) -> Vec<SideSink<'a>> {
     let mut sinks: Vec<SideSink<'a>> = Vec::new();
     if let Some(ts) = triest.as_mut() {
@@ -108,7 +103,7 @@ fn build_sinks<'a>(
                 if r.update.is_insert() {
                     g.add_edge(r.update.edge);
                 } else {
-                    debug_assert!(!insertion, "deletion on an insertion ring");
+                    debug_assert!(model == Model::Turnstile, "deletion on an insertion ring");
                     g.remove_edge(r.update.edge);
                 }
             }
@@ -127,89 +122,43 @@ fn csr_count(pattern: &Pattern, g: &AdjListGraph) -> u64 {
     exact::count_pattern_auto(&csr, pattern)
 }
 
-/// Estimate `#H` from an insertion-only feed with the default consumer
-/// bundle riding the first pass (see [`ConsumerSet::default`]).
-pub fn estimate_insertion_broadcast(
-    pattern: &Pattern,
+/// Estimate `spec`'s `#H` from `feed` in `model` with `consumers` riding
+/// the first pass's ring (TRIÈST is forced off in the turnstile model —
+/// it is insertion-only). `bcast` sets the ring geometry and the
+/// execution policy the shard workers and side sinks run under. The
+/// estimate and every consumer's answer are byte-identical for any
+/// setting. `None` if the pattern has no sampler plan.
+pub fn estimate_broadcast(
+    spec: &QuerySpec,
+    model: Model,
     feed: &ShardedFeed,
-    trials: usize,
-    seed: u64,
-    arena: &mut RouterArena,
-) -> Option<BroadcastEstimate> {
-    estimate_insertion_broadcast_with_opts(
-        pattern,
-        feed,
-        trials,
-        seed,
-        arena,
-        PassOpts::default(),
-        SamplerMode::Indexed,
-        ConsumerSet::default(),
-    )
-}
-
-/// [`estimate_insertion_broadcast`] with explicit feed-path options,
-/// sampler mode, and consumer set.
-#[allow(clippy::too_many_arguments)]
-pub fn estimate_insertion_broadcast_with_opts(
-    pattern: &Pattern,
-    feed: &ShardedFeed,
-    trials: usize,
-    seed: u64,
     arena: &mut RouterArena,
     opts: PassOpts,
-    sampler: SamplerMode,
-    consumers: ConsumerSet,
-) -> Option<BroadcastEstimate> {
-    estimate_insertion_broadcast_with_exec(
-        pattern,
-        feed,
-        trials,
-        seed,
-        arena,
-        opts,
-        sampler,
-        consumers,
-        BroadcastOpts::default(),
-    )
-}
-
-/// [`estimate_insertion_broadcast_with_opts`] with explicit broadcast
-/// ring options — capacity, stall threshold, and the execution policy
-/// (`BroadcastOpts::with_policy`) the shard workers and side sinks run
-/// under. Every consumer's answer is byte-identical for any setting.
-#[allow(clippy::too_many_arguments)]
-pub fn estimate_insertion_broadcast_with_exec(
-    pattern: &Pattern,
-    feed: &ShardedFeed,
-    trials: usize,
-    seed: u64,
-    arena: &mut RouterArena,
-    opts: PassOpts,
-    sampler: SamplerMode,
     consumers: ConsumerSet,
     bcast: BroadcastOpts,
 ) -> Option<BroadcastEstimate> {
-    let plan = SamplerPlan::new(pattern)?;
-    let par = build_parallel(&plan, sampler, trials, seed);
+    let (par, rho) = spec.bank(model)?;
     let mut triest = consumers
         .triest_capacity
-        .map(|cap| TriestStream::new(cap, triest_seed(seed)));
+        .filter(|_| model == Model::Insertion)
+        .map(|cap| TriestStream::new(cap, triest_seed(spec.seed)));
     let mut graph = consumers
         .exact
         .then(|| AdjListGraph::new(feed.num_vertices()));
     let mut raw = 0u64;
     let mut extra = vec![0u64; consumers.extra_raw];
     let (outcomes, report) = {
-        let mut sinks = build_sinks(&mut triest, &mut graph, &mut raw, &mut extra, true);
-        let (outcomes, report) = run_insertion_broadcast_with_opts(
+        let mut sinks = build_sinks(&mut triest, &mut graph, &mut raw, &mut extra, model);
+        let (outcomes, report) = run_broadcast(
+            model,
             par,
             feed,
-            split_seed(seed, u64::MAX),
+            spec.run_seed(),
             arena,
-            opts,
+            spec.pass_opts(opts),
             bcast,
             &mut sinks,
+            None,
         );
         if report.passes == 0 {
             // Zero-round estimator (e.g. zero trials): the side
@@ -223,100 +172,9 @@ pub fn estimate_insertion_broadcast_with_exec(
         (outcomes, report)
     };
     Some(BroadcastEstimate {
-        estimate: CountEstimate::from_outcomes(outcomes, plan.rho(), report),
+        estimate: CountEstimate::from_outcomes(outcomes, rho, report),
         triest: triest.map(TriestStream::finish),
-        exact: graph.map(|g| csr_count(pattern, &g)),
-        raw_updates: raw,
-        extra_raw: extra,
-    })
-}
-
-/// Turnstile sibling of [`estimate_insertion_broadcast`] (TRIÈST is
-/// forced off — it is insertion-only).
-pub fn estimate_turnstile_broadcast(
-    pattern: &Pattern,
-    feed: &ShardedFeed,
-    trials: usize,
-    seed: u64,
-    arena: &mut RouterArena,
-) -> Option<BroadcastEstimate> {
-    estimate_turnstile_broadcast_with_opts(
-        pattern,
-        feed,
-        trials,
-        seed,
-        arena,
-        PassOpts::default(),
-        ConsumerSet::default(),
-    )
-}
-
-/// [`estimate_turnstile_broadcast`] with explicit feed-path options
-/// (block size + ℓ₀ feed path) and consumer set.
-pub fn estimate_turnstile_broadcast_with_opts(
-    pattern: &Pattern,
-    feed: &ShardedFeed,
-    trials: usize,
-    seed: u64,
-    arena: &mut RouterArena,
-    opts: PassOpts,
-    consumers: ConsumerSet,
-) -> Option<BroadcastEstimate> {
-    estimate_turnstile_broadcast_with_exec(
-        pattern,
-        feed,
-        trials,
-        seed,
-        arena,
-        opts,
-        consumers,
-        BroadcastOpts::default(),
-    )
-}
-
-/// Turnstile sibling of [`estimate_insertion_broadcast_with_exec`].
-#[allow(clippy::too_many_arguments)]
-pub fn estimate_turnstile_broadcast_with_exec(
-    pattern: &Pattern,
-    feed: &ShardedFeed,
-    trials: usize,
-    seed: u64,
-    arena: &mut RouterArena,
-    opts: PassOpts,
-    consumers: ConsumerSet,
-    bcast: BroadcastOpts,
-) -> Option<BroadcastEstimate> {
-    let plan = SamplerPlan::new(pattern)?;
-    let par = build_parallel(&plan, SamplerMode::Relaxed, trials, seed);
-    let mut triest: Option<TriestStream> = None;
-    let mut graph = consumers
-        .exact
-        .then(|| AdjListGraph::new(feed.num_vertices()));
-    let mut raw = 0u64;
-    let mut extra = vec![0u64; consumers.extra_raw];
-    let (outcomes, report) = {
-        let mut sinks = build_sinks(&mut triest, &mut graph, &mut raw, &mut extra, false);
-        let (outcomes, report) = run_turnstile_broadcast_with_opts(
-            par,
-            feed,
-            split_seed(seed, u64::MAX),
-            arena,
-            opts,
-            bcast,
-            &mut sinks,
-        );
-        if report.passes == 0 {
-            feed.begin_pass();
-            for sink in sinks.iter_mut() {
-                sink(feed.routed());
-            }
-        }
-        (outcomes, report)
-    };
-    Some(BroadcastEstimate {
-        estimate: CountEstimate::from_outcomes(outcomes, plan.rho(), report),
-        triest: None,
-        exact: graph.map(|g| csr_count(pattern, &g)),
+        exact: graph.map(|g| csr_count(&spec.pattern, &g)),
         raw_updates: raw,
         extra_raw: extra,
     })
@@ -327,9 +185,40 @@ mod tests {
     use super::*;
     use crate::baselines::exact_stream::count_exact;
     use crate::baselines::triest::estimate_triest;
-    use crate::fgp::parallel_exec::{estimate_insertion_on_feed, estimate_turnstile_on_feed};
+    use crate::fgp::parallel_exec::estimate_on_feed;
     use sgs_graph::gen;
+    use sgs_query::ExecPolicy;
     use sgs_stream::{EdgeStream, InsertionStream, TurnstileStream};
+
+    fn plain(
+        spec: &QuerySpec,
+        model: Model,
+        feed: &ShardedFeed,
+        arena: &mut RouterArena,
+    ) -> CountEstimate {
+        let (opts, policy) = (PassOpts::default(), ExecPolicy::default());
+        estimate_on_feed(spec, model, feed, arena, opts, policy).unwrap()
+    }
+
+    /// The default consumer bundle on the default ring.
+    fn bundle(
+        spec: &QuerySpec,
+        model: Model,
+        feed: &ShardedFeed,
+        arena: &mut RouterArena,
+    ) -> BroadcastEstimate {
+        let (opts, bcast) = (PassOpts::default(), BroadcastOpts::default());
+        estimate_broadcast(
+            spec,
+            model,
+            feed,
+            arena,
+            opts,
+            ConsumerSet::default(),
+            bcast,
+        )
+        .unwrap()
+    }
 
     #[test]
     fn bundle_estimator_is_byte_identical_and_consumers_match_private_runs() {
@@ -338,12 +227,9 @@ mod tests {
         for shards in [1usize, 2, 4] {
             let feed = ShardedFeed::partition(&stream, shards);
             let mut arena = RouterArena::new();
-            let single =
-                estimate_insertion_on_feed(&Pattern::triangle(), &feed, 2_000, 53, &mut arena)
-                    .unwrap();
-            let bundle =
-                estimate_insertion_broadcast(&Pattern::triangle(), &feed, 2_000, 53, &mut arena)
-                    .unwrap();
+            let spec = QuerySpec::new(Pattern::triangle(), 2_000, 53);
+            let single = plain(&spec, Model::Insertion, &feed, &mut arena);
+            let bundle = bundle(&spec, Model::Insertion, &feed, &mut arena);
             assert_eq!(bundle.estimate.hits, single.hits, "{shards} shards");
             assert_eq!(bundle.estimate.estimate, single.estimate);
             assert_eq!(bundle.estimate.report.passes, 3);
@@ -365,10 +251,9 @@ mod tests {
         let tst = TurnstileStream::from_graph_with_churn(&g, 0.6, 62);
         let feed = ShardedFeed::partition(&tst, 3);
         let mut arena = RouterArena::new();
-        let single =
-            estimate_turnstile_on_feed(&Pattern::triangle(), &feed, 600, 63, &mut arena).unwrap();
-        let bundle =
-            estimate_turnstile_broadcast(&Pattern::triangle(), &feed, 600, 63, &mut arena).unwrap();
+        let spec = QuerySpec::new(Pattern::triangle(), 600, 63);
+        let single = plain(&spec, Model::Turnstile, &feed, &mut arena);
+        let bundle = bundle(&spec, Model::Turnstile, &feed, &mut arena);
         assert_eq!(bundle.estimate.hits, single.hits);
         assert_eq!(bundle.estimate.estimate, single.estimate);
         assert!(bundle.triest.is_none(), "TRIÈST is insertion-only");
@@ -383,18 +268,17 @@ mod tests {
         let stream = InsertionStream::from_graph(&g, 72);
         let feed = ShardedFeed::partition(&stream, 2);
         let mut arena = RouterArena::new();
-        let bundle = estimate_insertion_broadcast_with_opts(
-            &Pattern::triangle(),
+        let bundle = estimate_broadcast(
+            &QuerySpec::new(Pattern::triangle(), 500, 73),
+            Model::Insertion,
             &feed,
-            500,
-            73,
             &mut arena,
             PassOpts::default(),
-            SamplerMode::Indexed,
             ConsumerSet {
                 extra_raw: 3,
                 ..ConsumerSet::default()
             },
+            BroadcastOpts::default(),
         )
         .unwrap();
         assert_eq!(bundle.extra_raw, vec![80u64; 3]);
@@ -411,8 +295,8 @@ mod tests {
         let stream = InsertionStream::from_graph(&g, 82);
         let feed = ShardedFeed::partition(&stream, 2);
         let mut arena = RouterArena::new();
-        let bundle =
-            estimate_insertion_broadcast(&Pattern::triangle(), &feed, 0, 83, &mut arena).unwrap();
+        let spec = QuerySpec::new(Pattern::triangle(), 0, 83);
+        let bundle = bundle(&spec, Model::Insertion, &feed, &mut arena);
         assert_eq!(bundle.estimate.trials, 0);
         assert_eq!(bundle.raw_updates, 50);
         assert_eq!(

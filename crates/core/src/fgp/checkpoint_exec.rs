@@ -1,82 +1,51 @@
-//! Checkpointed estimator drivers: durable `estimate_*` entry points.
+//! The checkpointed estimator entry point: a durable `#H` estimate.
 //!
-//! These wrap the FGP trial bank (the same [`Parallel`] bank every other
-//! executor drives) in `sgs-query`'s checkpointed drivers: the input
-//! stream is made durable in a write-ahead log before estimation starts,
-//! estimator state is snapshotted at delivery-block boundaries, and a
-//! crashed run resumes from the latest snapshot to the **byte-identical**
-//! estimate the uninterrupted run produces — same estimate bits, hits,
-//! `m`, and report, at any shard count, in both stream models.
+//! [`estimate_checkpointed`] wraps the FGP trial bank (the same
+//! [`sgs_query::Parallel`] bank every other executor drives) in
+//! `sgs-query`'s checkpointed driver: the input stream is made durable
+//! in a write-ahead log before estimation starts, estimator state is
+//! snapshotted at delivery-block boundaries, and a crashed run resumes
+//! from the latest snapshot to the **byte-identical** estimate the
+//! uninterrupted run produces — same estimate bits, hits, `m`, and
+//! report, at any shard count, in both stream models.
 //! `tests/crash_recovery.rs` sweeps every crash point.
 //!
-//! The sibling of [`crate::fgp::parallel_exec`]: same plan/bank/seed
+//! The sibling of [`crate::fgp::parallel_exec`]: same spec/bank/seed
 //! plumbing, with a [`CheckpointSession`] threaded through.
 
-use crate::fgp::counter::{build_parallel, CountEstimate};
-use crate::fgp::plan::SamplerPlan;
-use crate::fgp::sampler::SamplerMode;
-use sgs_graph::Pattern;
-use sgs_query::checkpoint::{run_insertion_checkpointed, run_turnstile_checkpointed};
-use sgs_query::exec::PassOpts;
-use sgs_query::CheckpointSession;
-use sgs_query::RouterArena;
-use sgs_stream::hash::split_seed;
+use crate::fgp::counter::{CountEstimate, QuerySpec};
+use sgs_query::{run_checkpointed, CheckpointSession, Model, PassOpts, RouterArena};
 use sgs_stream::persist::PersistResult;
 use sgs_stream::ShardedFeed;
 
-/// Estimate `#H` from an insertion-only feed under a checkpoint
+/// Estimate `spec`'s `#H` from `feed` in `model` under a checkpoint
 /// session. Returns `Ok(None)` when the pattern has no sampler plan or
 /// when the session's simulated crash point fires; otherwise the same
 /// [`CountEstimate`] the uninterrupted executors produce. Resumes
 /// transparently when the session carries snapshot state.
-#[allow(clippy::too_many_arguments)]
-pub fn estimate_insertion_checkpointed(
-    pattern: &Pattern,
+pub fn estimate_checkpointed(
+    spec: &QuerySpec,
+    model: Model,
     feed: &ShardedFeed,
-    trials: usize,
-    seed: u64,
-    arena: &mut RouterArena,
-    opts: PassOpts,
-    sampler: SamplerMode,
-    session: &mut CheckpointSession,
-) -> PersistResult<Option<CountEstimate>> {
-    let Some(plan) = SamplerPlan::new(pattern) else {
-        return Ok(None);
-    };
-    let par = build_parallel(&plan, sampler, trials, seed);
-    let run =
-        run_insertion_checkpointed(par, feed, split_seed(seed, u64::MAX), arena, opts, session)?;
-    Ok(run.map(|(outcomes, report)| CountEstimate::from_outcomes(outcomes, plan.rho(), report)))
-}
-
-/// Turnstile sibling of [`estimate_insertion_checkpointed`] (relaxed
-/// sampler mode, as in every turnstile executor).
-pub fn estimate_turnstile_checkpointed(
-    pattern: &Pattern,
-    feed: &ShardedFeed,
-    trials: usize,
-    seed: u64,
     arena: &mut RouterArena,
     opts: PassOpts,
     session: &mut CheckpointSession,
 ) -> PersistResult<Option<CountEstimate>> {
-    let Some(plan) = SamplerPlan::new(pattern) else {
+    let Some((par, rho)) = spec.bank(model) else {
         return Ok(None);
     };
-    let par = build_parallel(&plan, SamplerMode::Relaxed, trials, seed);
-    let run =
-        run_turnstile_checkpointed(par, feed, split_seed(seed, u64::MAX), arena, opts, session)?;
-    Ok(run.map(|(outcomes, report)| CountEstimate::from_outcomes(outcomes, plan.rho(), report)))
+    let opts = spec.pass_opts(opts);
+    let run = run_checkpointed(model, par, feed, spec.run_seed(), arena, opts, session)?;
+    Ok(run.map(|(outcomes, report)| CountEstimate::from_outcomes(outcomes, rho, report)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fgp::parallel_exec::{
-        estimate_insertion_on_feed_with_opts, estimate_turnstile_on_feed_with_block,
-    };
-    use sgs_graph::gen;
-    use sgs_stream::{InsertionStream, TurnstileStream};
+    use crate::fgp::parallel_exec::estimate_on_feed;
+    use sgs_graph::{gen, Pattern};
+    use sgs_query::ExecPolicy;
+    use sgs_stream::{EdgeStream, InsertionStream, TurnstileStream};
 
     fn tmp_dir(tag: &str) -> std::path::PathBuf {
         let d = std::env::temp_dir().join(format!("sgs-core-ckpt-{tag}-{}", std::process::id()));
@@ -84,43 +53,53 @@ mod tests {
         d
     }
 
+    /// The checkpointed and the plain estimate of `spec` over `stream`.
+    fn both(
+        tag: &str,
+        spec: &QuerySpec,
+        model: Model,
+        stream: &impl EdgeStream,
+        shards: usize,
+    ) -> (CountEstimate, CountEstimate) {
+        let feed = ShardedFeed::partition(stream, shards);
+        let dir = tmp_dir(tag);
+        let mut session = CheckpointSession::create(&dir, &feed, 4, 32).unwrap();
+        let opts = PassOpts::default();
+        let ckpt = estimate_checkpointed(
+            spec,
+            model,
+            &feed,
+            &mut RouterArena::new(),
+            opts,
+            &mut session,
+        )
+        .unwrap()
+        .unwrap();
+        let plain = estimate_on_feed(
+            spec,
+            model,
+            &feed,
+            &mut RouterArena::new(),
+            opts,
+            ExecPolicy::default(),
+        )
+        .unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        (ckpt, plain)
+    }
+
     #[test]
     fn checkpointed_estimate_matches_plain_insertion() {
         let g = gen::gnm(30, 140, 51);
         let stream = InsertionStream::from_graph(&g, 52);
+        let spec = QuerySpec::new(Pattern::triangle(), 300, 53);
         for shards in [1usize, 2] {
-            let feed = ShardedFeed::partition(&stream, shards);
-            let dir = tmp_dir(&format!("ins-{shards}"));
-            let mut session = CheckpointSession::create(&dir, &feed, 4, 32).unwrap();
-            let mut arena = RouterArena::new();
-            let ckpt = estimate_insertion_checkpointed(
-                &Pattern::triangle(),
-                &feed,
-                300,
-                53,
-                &mut arena,
-                PassOpts::default(),
-                SamplerMode::Indexed,
-                &mut session,
-            )
-            .unwrap()
-            .unwrap();
-            let mut arena2 = RouterArena::new();
-            let plain = estimate_insertion_on_feed_with_opts(
-                &Pattern::triangle(),
-                &feed,
-                300,
-                53,
-                &mut arena2,
-                PassOpts::default(),
-                SamplerMode::Indexed,
-            )
-            .unwrap();
+            let tag = format!("ins-{shards}");
+            let (ckpt, plain) = both(&tag, &spec, Model::Insertion, &stream, shards);
             assert_eq!(ckpt.estimate.to_bits(), plain.estimate.to_bits());
             assert_eq!(ckpt.hits, plain.hits);
             assert_eq!(ckpt.m, plain.m);
             assert_eq!(ckpt.trials, plain.trials);
-            std::fs::remove_dir_all(&dir).unwrap();
         }
     }
 
@@ -128,34 +107,10 @@ mod tests {
     fn checkpointed_estimate_matches_plain_turnstile() {
         let g = gen::gnm(24, 100, 55);
         let tst = TurnstileStream::from_graph_with_churn(&g, 0.7, 56);
-        let feed = ShardedFeed::partition(&tst, 2);
-        let dir = tmp_dir("tst");
-        let mut session = CheckpointSession::create(&dir, &feed, 4, 32).unwrap();
-        let mut arena = RouterArena::new();
-        let ckpt = estimate_turnstile_checkpointed(
-            &Pattern::triangle(),
-            &feed,
-            200,
-            57,
-            &mut arena,
-            PassOpts::default(),
-            &mut session,
-        )
-        .unwrap()
-        .unwrap();
-        let mut arena2 = RouterArena::new();
-        let plain = estimate_turnstile_on_feed_with_block(
-            &Pattern::triangle(),
-            &feed,
-            200,
-            57,
-            &mut arena2,
-            PassOpts::default().block,
-        )
-        .unwrap();
+        let spec = QuerySpec::new(Pattern::triangle(), 200, 57);
+        let (ckpt, plain) = both("tst", &spec, Model::Turnstile, &tst, 2);
         assert_eq!(ckpt.estimate.to_bits(), plain.estimate.to_bits());
         assert_eq!(ckpt.hits, plain.hits);
         assert_eq!(ckpt.m, plain.m);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

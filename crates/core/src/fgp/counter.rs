@@ -7,14 +7,72 @@
 //! successes `X` gives the estimator `#Ĥ = (2m)^ρ(H) · X/k`, concentrated
 //! by Chernoff bounds once `k ≳ (2m)^ρ/(ε²·#H)`.
 
+use crate::fgp::parallel_exec::estimate_on_feed;
 use crate::fgp::plan::SamplerPlan;
 use crate::fgp::sampler::{SamplerMode, SamplerOutcome, SubgraphSampler};
 use sgs_graph::{AdjListGraph, Pattern, Rho};
-use sgs_query::exec::{run_insertion, run_on_oracle, run_turnstile};
-use sgs_query::{ExactOracle, ExecReport, Parallel};
+use sgs_query::exec::run_on_oracle;
+use sgs_query::{ExactOracle, ExecPolicy, ExecReport, Model, Parallel, PassOpts, RouterArena};
 use sgs_stream::hash::split_seed;
-use sgs_stream::EdgeStream;
+use sgs_stream::reservoir::ReservoirMode;
+use sgs_stream::{EdgeStream, ShardedFeed};
 use std::sync::Arc;
+
+/// One `#H` estimate to run: everything every engine's entry point takes
+/// per estimate, in either stream model.
+#[derive(Clone, Debug)]
+pub struct QuerySpec {
+    /// The pattern `H` to count.
+    pub pattern: Pattern,
+    /// Parallel sampler trials `k`.
+    pub trials: usize,
+    /// The estimate's seed: trial `i` runs on `split_seed(seed, i)`, the
+    /// executor on `split_seed(seed, u64::MAX)`.
+    pub seed: u64,
+    /// Which query mix the trials ask; the turnstile model overrides it
+    /// (see [`SamplerMode::in_model`]).
+    pub sampler: SamplerMode,
+    /// Relaxed-`f3` reservoir acceptance scheme (insertion model only).
+    /// The one place an estimate takes its reservoir mode from: it
+    /// overrides the `reservoir` field of the [`PassOpts`] an entry point
+    /// is given.
+    pub reservoir: ReservoirMode,
+}
+
+impl QuerySpec {
+    /// A spec with the library defaults: indexed sampler, default
+    /// reservoir mode.
+    pub fn new(pattern: Pattern, trials: usize, seed: u64) -> Self {
+        QuerySpec {
+            pattern,
+            trials,
+            seed,
+            sampler: SamplerMode::Indexed,
+            reservoir: ReservoirMode::default(),
+        }
+    }
+
+    /// The trial bank this spec runs in `model`, and the pattern's `ρ`;
+    /// `None` if the pattern has no sampler plan (isolated vertices).
+    pub(crate) fn bank(&self, model: Model) -> Option<(Parallel<SubgraphSampler>, Rho)> {
+        let plan = SamplerPlan::new(&self.pattern)?;
+        let mode = self.sampler.in_model(model);
+        Some((
+            build_parallel(&plan, mode, self.trials, self.seed),
+            plan.rho(),
+        ))
+    }
+
+    /// The executor seed: the pass-seed chain every engine walks.
+    pub(crate) fn run_seed(&self) -> u64 {
+        split_seed(self.seed, u64::MAX)
+    }
+
+    /// `opts` with this spec's reservoir mode.
+    pub(crate) fn pass_opts(&self, opts: PassOpts) -> PassOpts {
+        opts.reservoir(self.reservoir)
+    }
+}
 
 /// The result of a counting run.
 #[derive(Clone, Debug)]
@@ -92,10 +150,7 @@ pub fn estimate_insertion(
     trials: usize,
     seed: u64,
 ) -> Option<CountEstimate> {
-    let plan = SamplerPlan::new(pattern)?;
-    let par = build_parallel(&plan, SamplerMode::Indexed, trials, seed);
-    let (outcomes, report) = run_insertion(par, stream, split_seed(seed, u64::MAX));
-    Some(CountEstimate::from_outcomes(outcomes, plan.rho(), report))
+    estimate_stream(Model::Insertion, pattern, stream, trials, seed)
 }
 
 /// Estimate `#H` from a turnstile stream (3 passes; Theorem 1).
@@ -105,10 +160,22 @@ pub fn estimate_turnstile(
     trials: usize,
     seed: u64,
 ) -> Option<CountEstimate> {
-    let plan = SamplerPlan::new(pattern)?;
-    let par = build_parallel(&plan, SamplerMode::Relaxed, trials, seed);
-    let (outcomes, report) = run_turnstile(par, stream, split_seed(seed, u64::MAX));
-    Some(CountEstimate::from_outcomes(outcomes, plan.rho(), report))
+    estimate_stream(Model::Turnstile, pattern, stream, trials, seed)
+}
+
+/// One-shard, default-option [`estimate_on_feed`] over a whole stream.
+fn estimate_stream(
+    model: Model,
+    pattern: &Pattern,
+    stream: &impl EdgeStream,
+    trials: usize,
+    seed: u64,
+) -> Option<CountEstimate> {
+    let spec = QuerySpec::new(pattern.clone(), trials, seed);
+    let feed = ShardedFeed::partition(stream, 1);
+    let mut arena = RouterArena::new();
+    let opts = PassOpts::default();
+    estimate_on_feed(&spec, model, &feed, &mut arena, opts, ExecPolicy::default())
 }
 
 /// Estimate `#H` via direct query access (the sublinear-time mode).

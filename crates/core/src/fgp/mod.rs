@@ -4,7 +4,12 @@
 //! * [`sampler`] — the 3-round-adaptive `SampleSubgraph` (Algorithms 1, 5,
 //!   and 9),
 //! * [`assemble`] — the piece-to-copy assembly and acceptance machinery,
-//! * [`counter`] — the parallel-trials estimator (Theorems 1 and 17).
+//! * [`counter`] — the parallel-trials estimator (Theorems 1 and 17) and
+//!   [`QuerySpec`], the one estimate description every engine takes,
+//! * [`parallel_exec`], [`broadcast_exec`], [`serve_exec`],
+//!   [`checkpoint_exec`], [`multi_exec`] — one estimator entry point per
+//!   engine (sharded, broadcast ring, persistent runtime, checkpointed,
+//!   multiplexed), each taking the stream [`sgs_query::Model`] as a value.
 
 pub mod assemble;
 pub mod broadcast_exec;
@@ -19,33 +24,16 @@ pub mod serve_exec;
 pub mod uniform;
 
 pub use assemble::FoundCopy;
-pub use broadcast_exec::{
-    estimate_insertion_broadcast, estimate_insertion_broadcast_with_exec,
-    estimate_insertion_broadcast_with_opts, estimate_turnstile_broadcast,
-    estimate_turnstile_broadcast_with_exec, estimate_turnstile_broadcast_with_opts, triest_seed,
-    BroadcastEstimate, ConsumerSet,
-};
-pub use checkpoint_exec::{estimate_insertion_checkpointed, estimate_turnstile_checkpointed};
+pub use broadcast_exec::{estimate_broadcast, triest_seed, BroadcastEstimate, ConsumerSet};
+pub use checkpoint_exec::estimate_checkpointed;
 pub use counter::{
     estimate_insertion, estimate_oracle, estimate_turnstile, practical_trials, theory_trials,
-    CountEstimate,
+    CountEstimate, QuerySpec,
 };
-pub use multi_exec::{
-    estimate_multi_insertion, estimate_multi_insertion_broadcast, estimate_multi_turnstile,
-    estimate_multi_turnstile_broadcast, MultiQuerySpec,
-};
-pub use parallel_exec::{
-    estimate_insertion_on_feed, estimate_insertion_on_feed_with_block,
-    estimate_insertion_on_feed_with_exec, estimate_insertion_on_feed_with_opts,
-    estimate_insertion_threaded, estimate_insertion_threaded_with_block,
-    estimate_insertion_threaded_with_exec, estimate_insertion_threaded_with_opts,
-    estimate_turnstile_on_feed, estimate_turnstile_on_feed_with_block,
-    estimate_turnstile_on_feed_with_exec, estimate_turnstile_on_feed_with_opts,
-    estimate_turnstile_threaded, estimate_turnstile_threaded_with_block,
-    estimate_turnstile_threaded_with_exec, estimate_turnstile_threaded_with_opts,
-};
+pub use multi_exec::{estimate_multi, estimate_multi_broadcast};
+pub use parallel_exec::estimate_on_feed;
 pub use plan::SamplerPlan;
 pub use sampler::{SamplerMode, SamplerOutcome, SubgraphSampler};
 pub use search::{distinguish_insertion, search_count_insertion, GapDecision, SearchResult};
-pub use serve_exec::{estimate_insertion_on_runtime, estimate_turnstile_on_runtime};
+pub use serve_exec::estimate_on_runtime;
 pub use uniform::{sample_uniform_insertion, sample_uniform_turnstile, uniform_trials};

@@ -8,166 +8,92 @@
 //! through [`sgs_query::QuerySet`] they cost exactly **3 shared
 //! passes** total, because every trial bank rides the same merged
 //! router. Each estimate is **byte-identical** to its solo
-//! [`crate::fgp::parallel_exec::estimate_insertion_on_feed_with_exec`]
-//! run with the same spec, for any shard count, block size, and engine
-//! — the multiplexer replays each job's private coin chain exactly.
+//! [`crate::fgp::parallel_exec::estimate_on_feed`] run with the same
+//! spec, for any shard count, block size, and engine — the multiplexer
+//! replays each job's private coin chain exactly.
 
-use crate::fgp::counter::{build_parallel, CountEstimate};
-use crate::fgp::plan::SamplerPlan;
-use crate::fgp::sampler::SamplerMode;
-use sgs_graph::Pattern;
-use sgs_query::multiplex::{AdmissionReport, QuerySet};
-use sgs_query::{BroadcastOpts, ExecPolicy, PassOpts, RouterArena};
-use sgs_stream::hash::split_seed;
-use sgs_stream::reservoir::ReservoirMode;
+use crate::fgp::counter::{CountEstimate, QuerySpec};
+use sgs_query::multiplex::{AdmissionReport, Engine, QuerySet};
+use sgs_query::{BroadcastOpts, ExecPolicy, Model, PassOpts, RouterArena};
 use sgs_stream::ShardedFeed;
 
-/// One query in a multi-query batch: everything a solo
-/// `estimate_*_on_feed_with_*` call would have taken per estimate.
-#[derive(Clone, Debug)]
-pub struct MultiQuerySpec {
-    /// The pattern `H` to count.
-    pub pattern: Pattern,
-    /// Parallel sampler trials `k` for this query.
-    pub trials: usize,
-    /// The query's private seed — the same value a solo run would take.
-    pub seed: u64,
-    /// Which Theorem-9 query mix the trials ask (insertion model only;
-    /// turnstile always runs relaxed).
-    pub sampler: SamplerMode,
-    /// Relaxed-`f3` reservoir acceptance scheme for this query.
-    pub reservoir: ReservoirMode,
-}
-
-impl MultiQuerySpec {
-    /// A spec with the library defaults: indexed sampler, default
-    /// reservoir mode.
-    pub fn new(pattern: Pattern, trials: usize, seed: u64) -> Self {
-        MultiQuerySpec {
-            pattern,
-            trials,
-            seed,
-            sampler: SamplerMode::Indexed,
-            reservoir: ReservoirMode::default(),
-        }
-    }
-}
-
-fn admit_all(
-    specs: &[MultiQuerySpec],
-    force_relaxed: bool,
-) -> Option<(
-    QuerySet<sgs_query::Parallel<crate::fgp::sampler::SubgraphSampler>>,
-    Vec<sgs_graph::Rho>,
-)> {
+/// Admit every spec's bank and run the set on `engine`; `None` if any
+/// pattern has no sampler plan.
+fn run_multi(
+    specs: &[QuerySpec],
+    model: Model,
+    feed: &ShardedFeed,
+    arena: &mut RouterArena,
+    opts: PassOpts,
+    engine: Engine,
+) -> Option<(Vec<CountEstimate>, AdmissionReport)> {
     let mut set = QuerySet::new();
     let mut rhos = Vec::with_capacity(specs.len());
     for spec in specs {
-        let plan = SamplerPlan::new(&spec.pattern)?;
-        let sampler = if force_relaxed {
-            SamplerMode::Relaxed
-        } else {
-            spec.sampler
-        };
-        let par = build_parallel(&plan, sampler, spec.trials, spec.seed);
-        set.admit(par, split_seed(spec.seed, u64::MAX), spec.reservoir);
-        rhos.push(plan.rho());
+        let (par, rho) = spec.bank(model)?;
+        set.admit(par, spec.run_seed(), spec.reservoir);
+        rhos.push(rho);
     }
-    Some((set, rhos))
-}
-
-fn collect(
-    outputs: Vec<Vec<crate::fgp::sampler::SamplerOutcome>>,
-    reports: Vec<sgs_query::ExecReport>,
-    rhos: Vec<sgs_graph::Rho>,
-) -> Vec<CountEstimate> {
-    outputs
+    let out = set.run(model, feed, arena, opts, engine);
+    let ests = out
+        .outputs
         .into_iter()
-        .zip(reports)
+        .zip(out.reports)
         .zip(rhos)
         .map(|((outcomes, report), rho)| CountEstimate::from_outcomes(outcomes, rho, report))
-        .collect()
+        .collect();
+    Some((ests, out.admission))
 }
 
-/// Estimate every spec's `#H` from one shared insertion-model pass per
-/// round on the sharded engine. Returns per-spec estimates (spec order)
-/// plus the multiplexer's admission report; `None` if any pattern has no
+/// Estimate every spec's `#H` in `model` from one shared pass per round
+/// on the sharded engine. Returns per-spec estimates (spec order) plus
+/// the multiplexer's admission report; `None` if any pattern has no
 /// sampler plan. Each estimate is byte-identical to its solo run.
-pub fn estimate_multi_insertion(
-    specs: &[MultiQuerySpec],
+pub fn estimate_multi(
+    specs: &[QuerySpec],
+    model: Model,
     feed: &ShardedFeed,
     arena: &mut RouterArena,
     opts: PassOpts,
     policy: ExecPolicy,
 ) -> Option<(Vec<CountEstimate>, AdmissionReport)> {
-    let (set, rhos) = admit_all(specs, false)?;
-    let out = set.run_insertion(feed, arena, opts, policy);
-    Some((collect(out.outputs, out.reports, rhos), out.admission))
+    run_multi(specs, model, feed, arena, opts, Engine::Sharded(policy))
 }
 
-/// Turnstile sibling of [`estimate_multi_insertion`]; every query runs
-/// the relaxed sampler (Definition 10 has no arrival-order watchers).
-pub fn estimate_multi_turnstile(
-    specs: &[MultiQuerySpec],
-    feed: &ShardedFeed,
-    arena: &mut RouterArena,
-    opts: PassOpts,
-    policy: ExecPolicy,
-) -> Option<(Vec<CountEstimate>, AdmissionReport)> {
-    let (set, rhos) = admit_all(specs, true)?;
-    let out = set.run_turnstile(feed, arena, opts, policy);
-    Some((collect(out.outputs, out.reports, rhos), out.admission))
-}
-
-/// [`estimate_multi_insertion`] riding the broadcast ring: one producer
-/// pushes each shared round's routed stream once. Producer stalls land
-/// in the admission report. Estimates identical to the sharded engine.
-pub fn estimate_multi_insertion_broadcast(
-    specs: &[MultiQuerySpec],
+/// [`estimate_multi`] riding the broadcast ring: one producer pushes
+/// each shared round's routed stream once. Producer stalls land in the
+/// admission report. Estimates identical to the sharded engine.
+pub fn estimate_multi_broadcast(
+    specs: &[QuerySpec],
+    model: Model,
     feed: &ShardedFeed,
     arena: &mut RouterArena,
     opts: PassOpts,
     bcast: BroadcastOpts,
 ) -> Option<(Vec<CountEstimate>, AdmissionReport)> {
-    let (set, rhos) = admit_all(specs, false)?;
-    let out = set.run_insertion_broadcast(feed, arena, opts, bcast);
-    Some((collect(out.outputs, out.reports, rhos), out.admission))
-}
-
-/// Turnstile sibling of [`estimate_multi_insertion_broadcast`].
-pub fn estimate_multi_turnstile_broadcast(
-    specs: &[MultiQuerySpec],
-    feed: &ShardedFeed,
-    arena: &mut RouterArena,
-    opts: PassOpts,
-    bcast: BroadcastOpts,
-) -> Option<(Vec<CountEstimate>, AdmissionReport)> {
-    let (set, rhos) = admit_all(specs, true)?;
-    let out = set.run_turnstile_broadcast(feed, arena, opts, bcast);
-    Some((collect(out.outputs, out.reports, rhos), out.admission))
+    run_multi(specs, model, feed, arena, opts, Engine::Ring(bcast))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fgp::parallel_exec::{
-        estimate_insertion_on_feed_with_exec, estimate_turnstile_on_feed_with_exec,
-    };
-    use sgs_graph::gen;
-    use sgs_query::PassOpts;
+    use crate::fgp::parallel_exec::estimate_on_feed;
+    use crate::fgp::sampler::SamplerMode;
+    use sgs_graph::{gen, Pattern};
+    use sgs_stream::reservoir::ReservoirMode;
     use sgs_stream::{InsertionStream, TurnstileStream};
 
-    fn specs() -> Vec<MultiQuerySpec> {
+    fn specs() -> Vec<QuerySpec> {
         vec![
-            MultiQuerySpec::new(Pattern::clique(3), 40, 11),
-            MultiQuerySpec {
+            QuerySpec::new(Pattern::clique(3), 40, 11),
+            QuerySpec {
                 pattern: Pattern::cycle(5),
                 trials: 25,
                 seed: 22,
                 sampler: SamplerMode::Relaxed,
                 reservoir: ReservoirMode::Skip,
             },
-            MultiQuerySpec {
+            QuerySpec {
                 pattern: Pattern::clique(3),
                 trials: 10,
                 seed: 33,
@@ -183,8 +109,9 @@ mod tests {
         let ins = InsertionStream::from_graph(&g, 8);
         let feed = ShardedFeed::partition(&ins, 2);
         let mut arena = RouterArena::new();
-        let (ests, admission) = estimate_multi_insertion(
+        let (ests, admission) = estimate_multi(
             &specs(),
+            Model::Insertion,
             &feed,
             &mut arena,
             PassOpts::with_block(64),
@@ -195,14 +122,12 @@ mod tests {
         assert_eq!(admission.rounds.len(), 3, "3-round samplers share 3 passes");
         for (spec, est) in specs().iter().zip(&ests) {
             let mut solo_arena = RouterArena::new();
-            let solo = estimate_insertion_on_feed_with_exec(
-                &spec.pattern,
+            let solo = estimate_on_feed(
+                spec,
+                Model::Insertion,
                 &feed,
-                spec.trials,
-                spec.seed,
                 &mut solo_arena,
-                PassOpts::with_block(64).reservoir(spec.reservoir),
-                spec.sampler,
+                PassOpts::with_block(64),
                 ExecPolicy::serial(),
             )
             .unwrap();
@@ -219,8 +144,9 @@ mod tests {
         let tst = TurnstileStream::from_graph_with_churn(&g, 0.4, 10);
         let feed = ShardedFeed::partition(&tst, 2);
         let mut arena = RouterArena::new();
-        let (ests, _) = estimate_multi_turnstile(
+        let (ests, _) = estimate_multi(
             &specs(),
+            Model::Turnstile,
             &feed,
             &mut arena,
             PassOpts::with_block(64),
@@ -229,11 +155,10 @@ mod tests {
         .unwrap();
         for (spec, est) in specs().iter().zip(&ests) {
             let mut solo_arena = RouterArena::new();
-            let solo = estimate_turnstile_on_feed_with_exec(
-                &spec.pattern,
+            let solo = estimate_on_feed(
+                spec,
+                Model::Turnstile,
                 &feed,
-                spec.trials,
-                spec.seed,
                 &mut solo_arena,
                 PassOpts::with_block(64),
                 ExecPolicy::serial(),
@@ -250,8 +175,9 @@ mod tests {
         let ins = InsertionStream::from_graph(&g, 13);
         let feed = ShardedFeed::partition(&ins, 3);
         let mut arena = RouterArena::new();
-        let (sharded, _) = estimate_multi_insertion(
+        let (sharded, _) = estimate_multi(
             &specs(),
+            Model::Insertion,
             &feed,
             &mut arena,
             PassOpts::with_block(64),
@@ -259,8 +185,9 @@ mod tests {
         )
         .unwrap();
         let mut ring_arena = RouterArena::new();
-        let (ringed, _) = estimate_multi_insertion_broadcast(
+        let (ringed, _) = estimate_multi_broadcast(
             &specs(),
+            Model::Insertion,
             &feed,
             &mut ring_arena,
             PassOpts::with_block(64),
@@ -279,9 +206,10 @@ mod tests {
         let feed = ShardedFeed::partition(&ins, 1);
         let mut arena = RouterArena::new();
         // An isolated vertex has no cycle-star decomposition.
-        let bad = vec![MultiQuerySpec::new(Pattern::from_edges(3, [(0, 1)]), 4, 1)];
-        assert!(estimate_multi_insertion(
+        let bad = vec![QuerySpec::new(Pattern::from_edges(3, [(0, 1)]), 4, 1)];
+        assert!(estimate_multi(
             &bad,
+            Model::Insertion,
             &feed,
             &mut arena,
             PassOpts::with_block(0),

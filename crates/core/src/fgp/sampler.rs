@@ -27,7 +27,7 @@ use crate::fgp::plan::SamplerPlan;
 use sgs_graph::decompose::Piece;
 use sgs_graph::order::precedes_with_degrees;
 use sgs_graph::{canonical, VertexId};
-use sgs_query::{Answer, Query, RoundAdaptive};
+use sgs_query::{Answer, Model, Query, RoundAdaptive};
 use sgs_stream::hash::FastRng;
 use std::sync::Arc;
 
@@ -40,6 +40,19 @@ pub enum SamplerMode {
     Indexed,
     /// Relaxed `f3(v)` — turnstile streams (Algorithm 5).
     Relaxed,
+}
+
+impl SamplerMode {
+    /// The query mix a trial asked for in `self` actually runs in
+    /// `model`. The turnstile model has no arrival-order watchers
+    /// (Definition 10 drops indexed `f3`), so its trials always run
+    /// relaxed; insertion runs keep the requested mix.
+    pub fn in_model(self, model: Model) -> SamplerMode {
+        match model {
+            Model::Insertion => self,
+            Model::Turnstile => SamplerMode::Relaxed,
+        }
+    }
 }
 
 /// Result of one sampler run.

@@ -10,15 +10,15 @@
 //! * [`distinguish_insertion`] — one 3-pass run sized for gap `ε` at
 //!   threshold `L`;
 //! * [`search_count_insertion`] — start from the AGM-bound-backed guess
-//!   `L₀ = (2m)^ρ(H)` (no graph has more copies, §1 [AGM08]) and halve
+//!   `L₀ = (2m)^ρ(H)` (no graph has more copies, §1, AGM08) and halve
 //!   until the estimate validates the guess. Each halving doubles the
 //!   trial budget, so the total work is within 2× of the final round's,
 //!   and each round costs 3 passes.
 
-use crate::fgp::counter::{estimate_insertion, practical_trials, CountEstimate};
-use crate::fgp::parallel_exec::estimate_insertion_on_feed;
+use crate::fgp::counter::{estimate_insertion, practical_trials, CountEstimate, QuerySpec};
+use crate::fgp::parallel_exec::estimate_on_feed;
 use sgs_graph::Pattern;
-use sgs_query::RouterArena;
+use sgs_query::{ExecPolicy, Model, PassOpts, RouterArena};
 use sgs_stream::hash::split_seed;
 use sgs_stream::{EdgeStream, ShardedFeed};
 
@@ -107,13 +107,9 @@ pub fn search_count_insertion(
         rounds += 1;
         let trials = practical_trials(m, plan.rho(), epsilon, guess).min(max_trials_per_round);
         total_trials += trials;
-        let est = estimate_insertion_on_feed(
-            pattern,
-            &feed,
-            trials,
-            split_seed(seed, rounds as u64),
-            &mut arena,
-        )?;
+        let spec = QuerySpec::new(pattern.clone(), trials, split_seed(seed, rounds as u64));
+        let (opts, policy) = (PassOpts::default(), ExecPolicy::default());
+        let est = estimate_on_feed(&spec, Model::Insertion, &feed, &mut arena, opts, policy)?;
         let accept = est.estimate >= guess;
         trace.push(est.clone());
         if accept || guess < 1.0 || trials >= max_trials_per_round {

@@ -1,98 +1,73 @@
-//! Serving-side estimator entry points: solo `#H` estimates on a
+//! The serving-side estimator entry point: one `#H` estimate on a
 //! caller-owned persistent [`sgs_query::ShardRuntime`].
 //!
 //! A long-lived node ([`sgs_query::ServerNode`]) keeps one worker pool
-//! alive across every query; these drivers run one COUNT on it through
-//! the broadcast ring ([`sgs_query::run_insertion_broadcast_on_runtime`])
-//! instead of standing up threads per estimate. Each estimate is
+//! alive across every query; [`estimate_on_runtime`] runs one COUNT on
+//! it through the broadcast ring ([`sgs_query::run_broadcast`]) instead
+//! of standing up threads per estimate. Each estimate is
 //! **byte-identical** to the batch
-//! [`crate::fgp::parallel_exec::estimate_insertion_on_feed_with_exec`]
-//! run with the same spec over the same feed — the broadcast engine's
-//! equivalence to the sharded engine is the load-bearing invariant
+//! [`crate::fgp::parallel_exec::estimate_on_feed`] run with the same
+//! spec over the same feed — the broadcast engine's equivalence to the
+//! sharded engine is the load-bearing invariant
 //! (`tests/broadcast_equivalence.rs`), and the runtime dispatch is the
-//! same `insertion_pass`/`turnstile_pass` the internally-pooled path
-//! takes.
+//! same `ShardRuntime::pass` the internally-pooled path takes.
 
-use crate::fgp::counter::{build_parallel, CountEstimate};
-use crate::fgp::plan::SamplerPlan;
-use crate::fgp::sampler::SamplerMode;
-use sgs_graph::Pattern;
-use sgs_query::{
-    run_insertion_broadcast_on_runtime, run_turnstile_broadcast_on_runtime, BroadcastOpts,
-    PassOpts, RouterArena, ShardRuntime,
-};
-use sgs_stream::hash::split_seed;
+use crate::fgp::counter::{CountEstimate, QuerySpec};
+use sgs_query::{run_broadcast, BroadcastOpts, Model, PassOpts, RouterArena, ShardRuntime};
 use sgs_stream::ShardedFeed;
 
-/// Estimate `#H` from an insertion-only feed on a persistent runtime.
-/// Byte-identical to
-/// [`crate::fgp::parallel_exec::estimate_insertion_on_feed_with_exec`]
-/// with the same spec. `None` if the pattern has no sampler plan.
-#[allow(clippy::too_many_arguments)]
-pub fn estimate_insertion_on_runtime(
-    pattern: &Pattern,
+/// Estimate `spec`'s `#H` from `feed` in `model` on a persistent
+/// runtime. Byte-identical to
+/// [`crate::fgp::parallel_exec::estimate_on_feed`] with the same spec.
+/// `None` if the pattern has no sampler plan.
+pub fn estimate_on_runtime(
+    spec: &QuerySpec,
+    model: Model,
     feed: &ShardedFeed,
-    trials: usize,
-    seed: u64,
-    arena: &mut RouterArena,
-    opts: PassOpts,
-    sampler: SamplerMode,
-    bcast: BroadcastOpts,
-    runtime: &mut ShardRuntime,
-) -> Option<CountEstimate> {
-    let plan = SamplerPlan::new(pattern)?;
-    let par = build_parallel(&plan, sampler, trials, seed);
-    let (outcomes, report) = run_insertion_broadcast_on_runtime(
-        par,
-        feed,
-        split_seed(seed, u64::MAX),
-        arena,
-        opts,
-        bcast,
-        &mut [],
-        runtime,
-    );
-    Some(CountEstimate::from_outcomes(outcomes, plan.rho(), report))
-}
-
-/// Turnstile sibling of [`estimate_insertion_on_runtime`]; the sampler
-/// always runs relaxed (Definition 10 has no arrival-order watchers).
-#[allow(clippy::too_many_arguments)]
-pub fn estimate_turnstile_on_runtime(
-    pattern: &Pattern,
-    feed: &ShardedFeed,
-    trials: usize,
-    seed: u64,
     arena: &mut RouterArena,
     opts: PassOpts,
     bcast: BroadcastOpts,
     runtime: &mut ShardRuntime,
 ) -> Option<CountEstimate> {
-    let plan = SamplerPlan::new(pattern)?;
-    let par = build_parallel(&plan, SamplerMode::Relaxed, trials, seed);
-    let (outcomes, report) = run_turnstile_broadcast_on_runtime(
+    let (par, rho) = spec.bank(model)?;
+    let (outcomes, report) = run_broadcast(
+        model,
         par,
         feed,
-        split_seed(seed, u64::MAX),
+        spec.run_seed(),
         arena,
-        opts,
+        spec.pass_opts(opts),
         bcast,
         &mut [],
-        runtime,
+        Some(runtime),
     );
-    Some(CountEstimate::from_outcomes(outcomes, plan.rho(), report))
+    Some(CountEstimate::from_outcomes(outcomes, rho, report))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fgp::parallel_exec::{
-        estimate_insertion_on_feed_with_exec, estimate_turnstile_on_feed_with_exec,
-    };
-    use sgs_graph::gen;
+    use crate::fgp::parallel_exec::estimate_on_feed;
+    use crate::fgp::sampler::SamplerMode;
+    use sgs_graph::{gen, Pattern};
     use sgs_query::ExecPolicy;
     use sgs_stream::reservoir::ReservoirMode;
     use sgs_stream::{InsertionStream, TurnstileStream};
+
+    /// The live estimate on `rt` and the batch estimate, serial policy.
+    fn live_and_batch(
+        spec: &QuerySpec,
+        model: Model,
+        feed: &ShardedFeed,
+        opts: PassOpts,
+        rt: &mut ShardRuntime,
+    ) -> (CountEstimate, CountEstimate) {
+        let policy = ExecPolicy::serial();
+        let bcast = BroadcastOpts::with_policy(policy);
+        let live = estimate_on_runtime(spec, model, feed, &mut RouterArena::new(), opts, bcast, rt);
+        let batch = estimate_on_feed(spec, model, feed, &mut RouterArena::new(), opts, policy);
+        (live.unwrap(), batch.unwrap())
+    }
 
     #[test]
     fn runtime_insertion_estimate_matches_batch_bits() {
@@ -100,38 +75,18 @@ mod tests {
         let ins = InsertionStream::from_graph(&g, 22);
         for shards in [1usize, 2, 4] {
             let feed = ShardedFeed::partition(&ins, shards);
-            let policy = ExecPolicy::serial();
-            let mut rt = ShardRuntime::new(shards, policy);
+            let mut rt = ShardRuntime::new(shards, ExecPolicy::serial());
             for (mode, reservoir) in [
                 (SamplerMode::Indexed, ReservoirMode::Skip),
                 (SamplerMode::Relaxed, ReservoirMode::Offer),
             ] {
-                let opts = PassOpts::with_block(64).reservoir(reservoir);
-                let mut arena = RouterArena::new();
-                let live = estimate_insertion_on_runtime(
-                    &Pattern::clique(3),
-                    &feed,
-                    60,
-                    9,
-                    &mut arena,
-                    opts,
-                    mode,
-                    BroadcastOpts::with_policy(policy),
-                    &mut rt,
-                )
-                .unwrap();
-                let mut batch_arena = RouterArena::new();
-                let batch = estimate_insertion_on_feed_with_exec(
-                    &Pattern::clique(3),
-                    &feed,
-                    60,
-                    9,
-                    &mut batch_arena,
-                    opts,
-                    mode,
-                    policy,
-                )
-                .unwrap();
+                let spec = QuerySpec {
+                    sampler: mode,
+                    reservoir,
+                    ..QuerySpec::new(Pattern::clique(3), 60, 9)
+                };
+                let opts = PassOpts::with_block(64);
+                let (live, batch) = live_and_batch(&spec, Model::Insertion, &feed, opts, &mut rt);
                 assert_eq!(live.estimate.to_bits(), batch.estimate.to_bits());
                 assert_eq!(live.hits, batch.hits);
                 assert_eq!(live.report.passes, batch.report.passes);
@@ -145,31 +100,10 @@ mod tests {
         let tst = TurnstileStream::from_graph_with_churn(&g, 0.5, 24);
         for shards in [1usize, 2, 4] {
             let feed = ShardedFeed::partition(&tst, shards);
-            let policy = ExecPolicy::serial();
-            let mut rt = ShardRuntime::new(shards, policy);
-            let mut arena = RouterArena::new();
-            let live = estimate_turnstile_on_runtime(
-                &Pattern::clique(3),
-                &feed,
-                40,
-                11,
-                &mut arena,
-                PassOpts::with_block(64),
-                BroadcastOpts::with_policy(policy),
-                &mut rt,
-            )
-            .unwrap();
-            let mut batch_arena = RouterArena::new();
-            let batch = estimate_turnstile_on_feed_with_exec(
-                &Pattern::clique(3),
-                &feed,
-                40,
-                11,
-                &mut batch_arena,
-                PassOpts::with_block(64),
-                policy,
-            )
-            .unwrap();
+            let mut rt = ShardRuntime::new(shards, ExecPolicy::serial());
+            let spec = QuerySpec::new(Pattern::clique(3), 40, 11);
+            let opts = PassOpts::with_block(64);
+            let (live, batch) = live_and_batch(&spec, Model::Turnstile, &feed, opts, &mut rt);
             assert_eq!(live.estimate.to_bits(), batch.estimate.to_bits());
             assert_eq!(live.hits, batch.hits);
         }
@@ -182,34 +116,11 @@ mod tests {
         let g = gen::gnm(30, 120, 31);
         let ins = InsertionStream::from_graph(&g, 32);
         let feed = ShardedFeed::partition(&ins, 2);
-        let policy = ExecPolicy::serial();
-        let mut rt = ShardRuntime::new(2, policy);
-        let mut arena = RouterArena::new();
+        let mut rt = ShardRuntime::new(2, ExecPolicy::serial());
         for seed in [1u64, 2, 3] {
-            let live = estimate_insertion_on_runtime(
-                &Pattern::clique(3),
-                &feed,
-                30,
-                seed,
-                &mut arena,
-                PassOpts::with_block(32),
-                SamplerMode::Indexed,
-                BroadcastOpts::with_policy(policy),
-                &mut rt,
-            )
-            .unwrap();
-            let mut batch_arena = RouterArena::new();
-            let batch = estimate_insertion_on_feed_with_exec(
-                &Pattern::clique(3),
-                &feed,
-                30,
-                seed,
-                &mut batch_arena,
-                PassOpts::with_block(32),
-                SamplerMode::Indexed,
-                policy,
-            )
-            .unwrap();
+            let spec = QuerySpec::new(Pattern::clique(3), 30, seed);
+            let opts = PassOpts::with_block(32);
+            let (live, batch) = live_and_batch(&spec, Model::Insertion, &feed, opts, &mut rt);
             assert_eq!(live.estimate.to_bits(), batch.estimate.to_bits());
         }
     }

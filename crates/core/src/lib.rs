@@ -29,5 +29,5 @@ pub mod ers;
 pub mod fgp;
 pub mod serve;
 
-pub use fgp::{CountEstimate, MultiQuerySpec, SamplerMode, SamplerPlan, SubgraphSampler};
+pub use fgp::{CountEstimate, QuerySpec, SamplerMode, SamplerPlan, SubgraphSampler};
 pub use serve::{run_server, Listeners, ServeOptions};

@@ -15,13 +15,13 @@
 //! QUIT                      -> BYE  (graceful node shutdown)
 //! ```
 //!
-//! Client threads parse lines into [`Request`]s and forward them with a
+//! Client threads parse lines into requests and forward them with a
 //! private reply channel to the single node loop, which drains the queue
 //! in arrival order. Consecutive COUNTs in one drained batch share one
 //! feed cut: a lone query runs on the node's persistent runtime
-//! ([`crate::fgp::estimate_insertion_on_runtime`]), a batch is
+//! ([`crate::fgp::estimate_on_runtime`]), a batch is
 //! admission-multiplexed through one shared pass per round
-//! ([`crate::fgp::estimate_multi_insertion`]). Both paths are
+//! ([`crate::fgp::estimate_multi`]). Both paths are
 //! byte-identical to the equivalent solo batch `sgs count` over the same
 //! ingested prefix — the reply's `bits=` field is the exact `f64` so
 //! clients can check.
@@ -31,15 +31,14 @@
 //! so a later `sgs serve` (or `sgs recover`) resumes from the directory.
 
 use crate::fgp::{
-    estimate_insertion_on_runtime, estimate_multi_insertion, estimate_multi_turnstile,
-    estimate_turnstile_on_runtime, practical_trials, CountEstimate, MultiQuerySpec, SamplerPlan,
+    estimate_multi, estimate_on_runtime, practical_trials, CountEstimate, QuerySpec, SamplerPlan,
 };
 use crate::SamplerMode;
 use sgs_graph::zoo::parse_pattern;
 use sgs_graph::Pattern;
 use sgs_query::{
-    BroadcastOpts, ExecPolicy, PassOpts, ReservoirMode, RouterArena, ServeError, ServeSnapshot,
-    ServerNode,
+    BroadcastOpts, ExecPolicy, Model, PassOpts, ReservoirMode, RouterArena, ServeError,
+    ServeSnapshot, ServerNode,
 };
 use sgs_stream::persist::PersistResult;
 use std::io::{BufRead, BufReader, Write};
@@ -100,7 +99,7 @@ struct CountSpec {
     /// `turnstile`, where reservoirs don't exist).
     reservoir_set: bool,
     relaxed: bool,
-    turnstile: bool,
+    model: Model,
 }
 
 /// A parsed protocol line.
@@ -125,13 +124,13 @@ fn parse_count(mut toks: std::str::SplitWhitespace<'_>) -> Result<Request, Strin
         reservoir: ReservoirMode::Skip,
         reservoir_set: false,
         relaxed: false,
-        turnstile: false,
+        model: Model::Insertion,
     };
     for tok in toks {
         if tok == "relaxed" {
             spec.relaxed = true;
         } else if tok == "turnstile" {
-            spec.turnstile = true;
+            spec.model = Model::Turnstile;
         } else if let Some(v) = tok.strip_prefix("trials=") {
             spec.trials = v.parse().map_err(|_| format!("bad trials '{v}'"))?;
         } else if let Some(v) = tok.strip_prefix("seed=") {
@@ -147,7 +146,7 @@ fn parse_count(mut toks: std::str::SplitWhitespace<'_>) -> Result<Request, Strin
             return Err(format!("unknown COUNT token '{tok}'"));
         }
     }
-    if spec.turnstile && (spec.relaxed || spec.reservoir_set) {
+    if spec.model == Model::Turnstile && (spec.relaxed || spec.reservoir_set) {
         return Err(
             "relaxed/reservoir only apply to insertion COUNTs (turnstile trials are always \
              relaxed, on ℓ₀-samplers)"
@@ -242,7 +241,7 @@ fn session<R: BufRead, W: Write>(mut lines: R, mut out: W, jobs: Sender<Job>) {
     }
 }
 
-fn count_reply(spec: &MultiQuerySpec, est: &CountEstimate, prefix: u64) -> String {
+fn count_reply(spec: &QuerySpec, est: &CountEstimate, prefix: u64) -> String {
     format!(
         "OK #{} ≈ {:.1} (hits {}/{}, seed {}) prefix={} bits={:016x}",
         spec.pattern.name(),
@@ -262,7 +261,7 @@ fn answer_group(
     arena: &mut RouterArena,
     jobs: &[Job],
     group: &[usize],
-    turnstile: bool,
+    model: Model,
     feed: &sgs_stream::ShardedFeed,
     prefix: u64,
     opts: &ServeOptions,
@@ -270,7 +269,7 @@ fn answer_group(
     if group.is_empty() {
         return;
     }
-    if !turnstile && node.has_deletions() {
+    if model == Model::Insertion && node.has_deletions() {
         for &k in group {
             let _ = jobs[k].1.send(
                 "ERR stream has deletions; insertion-model COUNT is unavailable (add 'turnstile')"
@@ -283,7 +282,7 @@ fn answer_group(
     let base_seed = node.config().seed;
     // Resolve defaults; refuse uncoverable patterns without touching the
     // rest of the group.
-    let mut resolved: Vec<(usize, MultiQuerySpec)> = Vec::with_capacity(group.len());
+    let mut resolved: Vec<(usize, QuerySpec)> = Vec::with_capacity(group.len());
     for &k in group {
         let Request::Count(spec) = &jobs[k].0 else {
             unreachable!("answer_group is only handed COUNT jobs");
@@ -300,18 +299,17 @@ fn answer_group(
         } else {
             spec.trials
         };
-        let sampler = if turnstile || spec.relaxed {
-            SamplerMode::Relaxed
-        } else {
-            SamplerMode::Indexed
-        };
         resolved.push((
             k,
-            MultiQuerySpec {
+            QuerySpec {
                 pattern: spec.pattern.clone(),
                 trials,
                 seed: spec.seed.unwrap_or(base_seed),
-                sampler,
+                sampler: if spec.relaxed {
+                    SamplerMode::Relaxed
+                } else {
+                    SamplerMode::Indexed
+                },
                 reservoir: spec.reservoir,
             },
         ));
@@ -319,35 +317,18 @@ fn answer_group(
     if resolved.is_empty() {
         return;
     }
-    if resolved.len() == 1 {
+    if let [(k, spec)] = &resolved[..] {
         // A lone query runs on the node's persistent worker pool.
-        let (k, spec) = &resolved[0];
-        let pass = opts.pass.reservoir(spec.reservoir);
         let bcast = BroadcastOpts::with_policy(opts.policy);
-        let est = if turnstile {
-            estimate_turnstile_on_runtime(
-                &spec.pattern,
-                feed,
-                spec.trials,
-                spec.seed,
-                arena,
-                pass,
-                bcast,
-                node.runtime_mut(),
-            )
-        } else {
-            estimate_insertion_on_runtime(
-                &spec.pattern,
-                feed,
-                spec.trials,
-                spec.seed,
-                arena,
-                pass,
-                spec.sampler,
-                bcast,
-                node.runtime_mut(),
-            )
-        }
+        let est = estimate_on_runtime(
+            spec,
+            model,
+            feed,
+            arena,
+            opts.pass,
+            bcast,
+            node.runtime_mut(),
+        )
         .expect("plan validated above");
         let _ = jobs[*k].1.send(count_reply(spec, &est, prefix));
         node.note_served();
@@ -355,13 +336,9 @@ fn answer_group(
     }
     // A batch is admission-multiplexed: one shared pass per round serves
     // every query, each answer byte-identical to its solo run.
-    let specs: Vec<MultiQuerySpec> = resolved.iter().map(|(_, s)| s.clone()).collect();
-    let (ests, _admission) = if turnstile {
-        estimate_multi_turnstile(&specs, feed, arena, opts.pass, opts.policy)
-    } else {
-        estimate_multi_insertion(&specs, feed, arena, opts.pass, opts.policy)
-    }
-    .expect("plans validated above");
+    let specs: Vec<QuerySpec> = resolved.iter().map(|(_, s)| s.clone()).collect();
+    let (ests, _admission) = estimate_multi(&specs, model, feed, arena, opts.pass, opts.policy)
+        .expect("plans validated above");
     for ((k, spec), est) in resolved.iter().zip(&ests) {
         let _ = jobs[*k].1.send(count_reply(spec, est, prefix));
         node.note_served();
@@ -385,20 +362,12 @@ fn answer_counts(
         }
     };
     let prefix = node.ingested();
-    let mut insertion: Vec<usize> = Vec::new();
-    let mut turnstile: Vec<usize> = Vec::new();
-    for (k, (req, _)) in jobs.iter().enumerate() {
-        let Request::Count(spec) = req else {
-            unreachable!("answer_counts is only handed COUNT jobs");
-        };
-        if spec.turnstile {
-            turnstile.push(k);
-        } else {
-            insertion.push(k);
-        }
+    for model in [Model::Insertion, Model::Turnstile] {
+        let group: Vec<usize> = (0..jobs.len())
+            .filter(|&k| matches!(&jobs[k].0, Request::Count(spec) if spec.model == model))
+            .collect();
+        answer_group(node, arena, jobs, &group, model, &feed, prefix, opts);
     }
-    answer_group(node, arena, jobs, &insertion, false, &feed, prefix, opts);
-    answer_group(node, arena, jobs, &turnstile, true, &feed, prefix, opts);
     Ok(())
 }
 
@@ -571,7 +540,7 @@ pub fn run_server(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fgp::estimate_insertion_on_feed_with_exec;
+    use crate::fgp::estimate_on_feed;
     use sgs_query::{ServeConfig, ServerNode};
     use sgs_stream::{ShardedFeed, TurnstileStream};
     use std::io::{BufRead, BufReader, Write};
@@ -615,7 +584,7 @@ mod tests {
         assert_eq!(spec.trials, 60);
         assert_eq!(spec.seed, Some(9));
         assert!(matches!(spec.reservoir, ReservoirMode::Offer));
-        assert!(spec.relaxed && !spec.turnstile);
+        assert!(spec.relaxed && spec.model == Model::Insertion);
 
         assert!(parse_request("COUNT").is_err());
         assert!(parse_request("COUNT nosuch").is_err());
@@ -711,14 +680,12 @@ mod tests {
         );
         let feed = ShardedFeed::partition(&stream, 2);
         let mut arena = RouterArena::new();
-        let batch = estimate_insertion_on_feed_with_exec(
-            &Pattern::triangle(),
+        let batch = estimate_on_feed(
+            &QuerySpec::new(Pattern::triangle(), 50, 9),
+            Model::Insertion,
             &feed,
-            50,
-            9,
             &mut arena,
             ServeOptions::new(ExecPolicy::serial()).pass,
-            SamplerMode::Indexed,
             ExecPolicy::serial(),
         )
         .unwrap();
@@ -799,14 +766,12 @@ mod tests {
             });
             let live_bits = u64::from_str_radix(bits_hex.trim(), 16).unwrap();
             let mut arena = RouterArena::new();
-            let solo = estimate_insertion_on_feed_with_exec(
-                &Pattern::triangle(),
+            let solo = estimate_on_feed(
+                &QuerySpec::new(Pattern::triangle(), 40, 100 + c as u64),
+                Model::Insertion,
                 &feed,
-                40,
-                100 + c as u64,
                 &mut arena,
                 ServeOptions::new(ExecPolicy::serial()).pass,
-                SamplerMode::Indexed,
                 ExecPolicy::serial(),
             )
             .unwrap();

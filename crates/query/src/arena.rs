@@ -160,7 +160,7 @@ impl RouterArena {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::router::RouterMode;
+    use crate::router::Model;
     use sgs_graph::VertexId;
 
     #[test]
@@ -171,7 +171,7 @@ mod tests {
 
         // Cold run: growth is expected and not counted.
         arena.begin_run();
-        arena.slots[0].router.rebuild(&batch, RouterMode::Insertion);
+        arena.slots[0].router.rebuild(&batch, Model::Insertion);
         arena.note_round();
         arena.end_run();
         assert!(arena.is_warm());
@@ -180,7 +180,7 @@ mod tests {
 
         // Warm run, same shape: no growth events.
         arena.begin_run();
-        arena.slots[0].router.rebuild(&batch, RouterMode::Insertion);
+        arena.slots[0].router.rebuild(&batch, Model::Insertion);
         arena.note_round();
         arena.end_run();
         assert_eq!(arena.growth_events_after_warmup(), 0);
@@ -189,7 +189,7 @@ mod tests {
         // Warm run, much bigger shape: growth is counted.
         let big: Vec<Query> = (0..5000u32).map(|i| Query::Degree(VertexId(i))).collect();
         arena.begin_run();
-        arena.slots[0].router.rebuild(&big, RouterMode::Insertion);
+        arena.slots[0].router.rebuild(&big, Model::Insertion);
         arena.note_round();
         assert_eq!(arena.growth_events_after_warmup(), 1);
     }

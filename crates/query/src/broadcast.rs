@@ -2,8 +2,7 @@
 //!
 //! The sharded executors in [`crate::sharded`] give each shard worker a
 //! private replay of its buffer. This module routes the same per-shard
-//! pass state machines ([`InsertionShardPass`] / [`TurnstileShardPass`])
-//! through a bounded [`Broadcast`] ring instead: **one producer** pushes
+//! pass state machines through a bounded [`Broadcast`] ring instead: **one producer** pushes
 //! the feed's routed buffer in blocks, and every consumer — the N shard
 //! routers *plus* any number of side consumers (baselines, exact
 //! oracles, pass counters) — walks the blocks through its own cursor.
@@ -30,26 +29,23 @@
 //! (default: more than one core) the producer, shard workers, and side
 //! consumers run on scoped threads against the blocking ring API;
 //! otherwise a deterministic cooperative round-robin drives the same
-//! ring through the try-APIs. The round-loop executors
-//! ([`run_insertion_broadcast_with_opts`] and its turnstile sibling)
-//! additionally keep a persistent [`crate::runtime::ShardRuntime`] pool
-//! under the threaded policy, feeding the *same* workers pass after
+//! ring through the try-APIs. The round-loop executor [`run_broadcast`]
+//! additionally keeps a persistent [`ShardRuntime`] pool under the
+//! threaded policy, feeding the *same* workers pass after
 //! pass instead of respawning scoped threads per round. All schedules
 //! produce identical answers — every consumer sees the whole stream in
 //! order either way.
 
 use crate::accounting::ExecReport;
-use crate::arena::{RouterArena, ShardSlot};
-use crate::exec::{PassOpts, ANSWER_BYTES};
+use crate::arena::RouterArena;
+use crate::exec::PassOpts;
 use crate::policy::ExecPolicy;
 use crate::query::{Answer, Query};
 use crate::round::RoundAdaptive;
-use crate::router::RouterMode;
-use crate::sharded::{
-    draw_targets, merge_answers, split_batch, InsertionShardPass, ShardOutcome, TurnstileShardPass,
-};
+use crate::router::Model;
+use crate::runtime::ShardRuntime;
+use crate::sharded::{drive_rounds, PassCtx, ShardOutcome, ShardPass};
 use sgs_stream::broadcast::{Broadcast, BroadcastConsumer, RoutedProducer, TryNext};
-use sgs_stream::hash::split_seed;
 use sgs_stream::sharded::{RoutedUpdate, ShardUpdate, ShardedFeed};
 use std::time::Instant;
 
@@ -103,42 +99,8 @@ pub(crate) fn filter_block(block: &[RoutedUpdate], sid: usize, scratch: &mut Vec
     }
 }
 
-/// The shard-pass operations the generic ring driver needs; both
-/// model-specific state machines expose exactly this surface.
-trait RingPass: Send {
-    fn feed(&mut self, deliveries: &[ShardUpdate]);
-    fn record_pass_nanos(&mut self, nanos: u64);
-    fn finish(self) -> ShardOutcome
-    where
-        Self: Sized;
-}
-
-impl RingPass for InsertionShardPass<'_> {
-    fn feed(&mut self, deliveries: &[ShardUpdate]) {
-        InsertionShardPass::feed(self, deliveries);
-    }
-    fn record_pass_nanos(&mut self, nanos: u64) {
-        InsertionShardPass::record_pass_nanos(self, nanos);
-    }
-    fn finish(self) -> ShardOutcome {
-        InsertionShardPass::finish(self)
-    }
-}
-
-impl RingPass for TurnstileShardPass<'_> {
-    fn feed(&mut self, deliveries: &[ShardUpdate]) {
-        TurnstileShardPass::feed(self, deliveries);
-    }
-    fn record_pass_nanos(&mut self, nanos: u64) {
-        TurnstileShardPass::record_pass_nanos(self, nanos);
-    }
-    fn finish(self) -> ShardOutcome {
-        TurnstileShardPass::finish(self)
-    }
-}
-
 /// Drive one broadcast pass: producer + per-shard pass machines + side
-/// sinks over one ring — threaded (blocking API, scoped threads) or
+/// sinks over `ring` — threaded (blocking API, scoped threads) or
 /// cooperative (try-API round-robin on this thread). Identical answers
 /// either way; shard order is preserved in the returned outcomes.
 ///
@@ -148,21 +110,20 @@ impl RingPass for TurnstileShardPass<'_> {
 /// threaded schedule a shard's figure is its drain wall time (ring
 /// waits included), under the cooperative schedule only its own
 /// processing segments.
-fn drive_ring<P: RingPass>(
+pub(crate) fn drive_ring(
     feed: &ShardedFeed,
-    passes: Vec<P>,
+    ring: &Broadcast,
+    passes: Vec<ShardPass<'_>>,
     bcast: BroadcastOpts,
     side: &mut [SideSink<'_>],
 ) -> Vec<ShardOutcome> {
     let shards = passes.len();
-    let ring = Broadcast::new(bcast.ring_capacity);
     let shard_consumers: Vec<BroadcastConsumer> = (0..shards).map(|_| ring.subscribe()).collect();
     let side_consumers: Vec<BroadcastConsumer> = side.iter().map(|_| ring.subscribe()).collect();
     let producer = RoutedProducer::new(feed, bcast.ring_block);
     // The producer is one extra party, so thread policy is decided by
     // the consumer count (>= 2 parties always; the injected policy rules).
     if bcast.policy.use_threads((shards + side.len()).max(2)) {
-        let ring = &ring;
         std::thread::scope(|scope| {
             scope.spawn(move || producer.run(ring));
             let side_handles: Vec<_> = side
@@ -203,7 +164,7 @@ fn drive_ring<P: RingPass>(
         })
     } else {
         let mut producer = producer;
-        let mut workers: Vec<(P, BroadcastConsumer, bool, u64)> = passes
+        let mut workers: Vec<(ShardPass<'_>, BroadcastConsumer, bool, u64)> = passes
             .into_iter()
             .zip(shard_consumers)
             .map(|(p, c)| (p, c, false, 0u64))
@@ -215,7 +176,7 @@ fn drive_ring<P: RingPass>(
             .collect();
         let mut scratch: Vec<ShardUpdate> = Vec::new();
         loop {
-            let produced = producer.pump(&ring);
+            let produced = producer.pump(ring);
             let mut all_ended = true;
             for (sid, (pass, c, ended, nanos)) in workers.iter_mut().enumerate() {
                 let t0 = Instant::now();
@@ -256,66 +217,13 @@ fn drive_ring<P: RingPass>(
     }
 }
 
-/// One insertion-model broadcast pass through [`drive_ring`].
-fn run_insertion_broadcast_pass(
-    feed: &ShardedFeed,
-    slots: &mut [ShardSlot],
-    targets: &[(u64, u32)],
-    pass_seed: u64,
-    opts: PassOpts,
-    bcast: BroadcastOpts,
-    side: &mut [SideSink<'_>],
-) -> Vec<ShardOutcome> {
-    let passes: Vec<InsertionShardPass<'_>> = slots
-        .iter_mut()
-        .map(|slot| InsertionShardPass::new(slot, targets, pass_seed, opts))
-        .collect();
-    drive_ring(feed, passes, bcast, side)
-}
-
-/// One turnstile-model broadcast pass through [`drive_ring`].
-fn run_turnstile_broadcast_pass(
-    feed: &ShardedFeed,
-    slots: &mut [ShardSlot],
-    f1_slots: &[u32],
-    pass_seed: u64,
-    opts: PassOpts,
-    bcast: BroadcastOpts,
-    side: &mut [SideSink<'_>],
-) -> Vec<ShardOutcome> {
-    let n = feed.num_vertices();
-    let passes: Vec<TurnstileShardPass<'_>> = slots
-        .iter_mut()
-        .map(|slot| TurnstileShardPass::new(slot, n, f1_slots, pass_seed, opts))
-        .collect();
-    drive_ring(feed, passes, bcast, side)
-}
-
-/// Answer one round's batch with one **broadcast** insertion-only pass:
-/// the fan-out generalization of
-/// [`crate::sharded::answer_insertion_batch_sharded`], byte-identical to
-/// it (and to the single-stream executors) for every shard count, with
-/// optional side consumers riding the same ingest.
-pub fn answer_insertion_batch_broadcast(
-    batch: &[Query],
-    feed: &ShardedFeed,
-    pass_seed: u64,
-    arena: &mut RouterArena,
-) -> (Vec<Answer>, usize) {
-    answer_insertion_batch_broadcast_with_opts(
-        batch,
-        feed,
-        pass_seed,
-        arena,
-        PassOpts::default(),
-        BroadcastOpts::default(),
-        &mut [],
-    )
-}
-
-/// [`answer_insertion_batch_broadcast`] with explicit feed-path options,
-/// ring geometry, and side consumers.
-pub fn answer_insertion_batch_broadcast_with_opts(
+/// Answer one round's batch with one **broadcast** pass in `model`: the
+/// fan-out generalization of [`crate::sharded::answer_batch_sharded`],
+/// byte-identical to it (and to the single-stream executors) for every
+/// shard count, with optional side consumers riding the same ingest.
+#[allow(clippy::too_many_arguments)]
+pub fn answer_batch_broadcast(
+    model: Model,
     batch: &[Query],
     feed: &ShardedFeed,
     pass_seed: u64,
@@ -325,123 +233,63 @@ pub fn answer_insertion_batch_broadcast_with_opts(
     side: &mut [SideSink<'_>],
 ) -> (Vec<Answer>, usize) {
     let shards = feed.num_shards();
-    split_batch(batch, RouterMode::Insertion, feed.shard_map(), arena);
-    let mut targets = std::mem::take(&mut arena.scratch_targets);
-    draw_targets(batch, feed.stream_len() as u64, pass_seed, &mut targets);
-    let outcomes = {
-        let slots = &mut arena.slots[..shards];
-        let targets = &targets;
-        run_insertion_broadcast_pass(feed, slots, targets, pass_seed, opts, bcast, side)
-    };
-    let space = outcomes.iter().map(|o| o.space_bytes).sum::<usize>() + targets.len() * 16;
-    arena.scratch_targets = targets;
-    let answers = merge_answers(batch.len(), feed, arena, shards, &outcomes);
-    (answers, space)
+    let ctx = PassCtx::begin(model, batch, feed, pass_seed, arena);
+    let passes: Vec<ShardPass<'_>> = arena.slots[..shards]
+        .iter_mut()
+        .map(|slot| ShardPass::new(model, slot, &ctx, pass_seed, opts))
+        .collect();
+    let ring = Broadcast::new(bcast.ring_capacity);
+    let outcomes = drive_ring(feed, &ring, passes, bcast, side);
+    ctx.finish(model, batch.len(), feed, arena, outcomes)
 }
 
-/// Answer one round's batch with one **broadcast** turnstile pass.
-pub fn answer_turnstile_batch_broadcast(
-    batch: &[Query],
+/// Execute a round-adaptive algorithm over broadcast passes in `model`:
+/// one ring session per round. Side consumers ride the **first** pass
+/// only (they are single-pass algorithms and must see the stream exactly
+/// once — the same one replay their single-stream counterparts get).
+///
+/// `runtime` is a caller-owned persistent [`ShardRuntime`] — the serving
+/// path, where one long-lived worker pool answers every query; its shard
+/// count must match the feed's. Without one, a threaded policy stands up
+/// a pool for this run only, so the rounds still reuse the same workers
+/// instead of respawning scoped threads per pass. Answers are identical
+/// either way.
+#[allow(clippy::too_many_arguments)]
+pub fn run_broadcast<A: RoundAdaptive>(
+    model: Model,
+    alg: A,
     feed: &ShardedFeed,
-    pass_seed: u64,
-    arena: &mut RouterArena,
-) -> (Vec<Answer>, usize) {
-    answer_turnstile_batch_broadcast_with_opts(
-        batch,
-        feed,
-        pass_seed,
-        arena,
-        PassOpts::default(),
-        BroadcastOpts::default(),
-        &mut [],
-    )
-}
-
-/// [`answer_turnstile_batch_broadcast`] with explicit feed-path options
-/// ([`PassOpts`]: block size + ℓ₀ feed path), ring geometry, and side
-/// consumers.
-pub fn answer_turnstile_batch_broadcast_with_opts(
-    batch: &[Query],
-    feed: &ShardedFeed,
-    pass_seed: u64,
+    seed: u64,
     arena: &mut RouterArena,
     opts: PassOpts,
     bcast: BroadcastOpts,
     side: &mut [SideSink<'_>],
-) -> (Vec<Answer>, usize) {
+    runtime: Option<&mut ShardRuntime>,
+) -> (A::Output, ExecReport) {
     let shards = feed.num_shards();
-    split_batch(batch, RouterMode::Turnstile, feed.shard_map(), arena);
-    let f1_slots = std::mem::take(&mut arena.scratch_edge);
-    let mut outcomes = {
-        let slots = &mut arena.slots[..shards];
-        run_turnstile_broadcast_pass(feed, slots, &f1_slots, pass_seed, opts, bcast, side)
-    };
-    let space = outcomes.iter().map(|o| o.space_bytes).sum::<usize>();
-    // Merge the per-shard f1 banks into shard 0's (linear sketches):
-    // the result is the exact single-stream sketch state.
-    let (head, rest) = outcomes.split_at_mut(1);
-    for o in rest.iter() {
-        for (a, b) in head[0].f1_bank.iter_mut().zip(&o.f1_bank) {
-            a.merge(b);
+    let mut owned = (runtime.is_none() && bcast.policy.use_threads((shards + side.len()).max(2)))
+        .then(|| ShardRuntime::new(shards, bcast.policy));
+    let mut runtime = runtime.or(owned.as_mut());
+    if let Some(rt) = &runtime {
+        assert_eq!(
+            rt.shards(),
+            shards,
+            "runtime pool and feed must agree on the shard count"
+        );
+    }
+    drive_rounds(alg, seed, arena, |batch, pass_seed, pass, arena| {
+        let side_now: &mut [SideSink<'_>] = if pass == 1 { &mut *side } else { &mut [] };
+        match runtime.as_deref_mut() {
+            Some(rt) => rt.pass(model, batch, feed, pass_seed, arena, opts, bcast, side_now),
+            None => {
+                answer_batch_broadcast(model, batch, feed, pass_seed, arena, opts, bcast, side_now)
+            }
         }
-    }
-    let mut answers = merge_answers(batch.len(), feed, arena, shards, &outcomes);
-    for (&slot, s) in f1_slots.iter().zip(&outcomes[0].f1_bank) {
-        answers[slot as usize] = Answer::Edge(s.sample().map(sgs_graph::Edge::from_key));
-    }
-    arena.scratch_edge = f1_slots;
-    (answers, space)
+    })
 }
 
-/// Execute a round-adaptive algorithm over broadcast passes: one ring
-/// session per round. Side consumers ride the **first** pass only (they
-/// are single-pass algorithms and must see the stream exactly once —
-/// the same one replay their single-stream counterparts get).
-pub fn run_insertion_broadcast<A: RoundAdaptive>(
-    alg: A,
-    feed: &ShardedFeed,
-    seed: u64,
-    arena: &mut RouterArena,
-    side: &mut [SideSink<'_>],
-) -> (A::Output, ExecReport) {
-    run_insertion_broadcast_with_opts(
-        alg,
-        feed,
-        seed,
-        arena,
-        PassOpts::default(),
-        BroadcastOpts::default(),
-        side,
-    )
-}
-
-/// [`run_insertion_broadcast`] with explicit feed-path options and ring
-/// geometry.
-pub fn run_insertion_broadcast_with_opts<A: RoundAdaptive>(
-    alg: A,
-    feed: &ShardedFeed,
-    seed: u64,
-    arena: &mut RouterArena,
-    opts: PassOpts,
-    bcast: BroadcastOpts,
-    side: &mut [SideSink<'_>],
-) -> (A::Output, ExecReport) {
-    let shards = feed.num_shards();
-    // Threaded policy: stand up the persistent worker pool once and
-    // feed it every round — no per-pass thread spawns on the hot path.
-    let mut runtime = bcast
-        .policy
-        .use_threads((shards + side.len()).max(2))
-        .then(|| crate::runtime::ShardRuntime::new(shards, bcast.policy));
-    run_insertion_rounds(alg, feed, seed, arena, opts, bcast, side, runtime.as_mut())
-}
-
-/// [`run_insertion_broadcast_with_opts`] on a caller-owned persistent
-/// [`ShardRuntime`] — the serving path, where one long-lived worker
-/// pool answers every query instead of standing up threads per run.
-/// Byte-identical to the internally-pooled run: both dispatch the same
-/// `insertion_pass` per round. The runtime's shard count must match
-/// the feed's.
+/// [`run_broadcast`] in the insertion model on a caller-owned runtime.
+/// Kept by name because `perfbench/src/traced.rs` calls it.
 #[allow(clippy::too_many_arguments)]
 pub fn run_insertion_broadcast_on_runtime<A: RoundAdaptive>(
     alg: A,
@@ -451,159 +299,43 @@ pub fn run_insertion_broadcast_on_runtime<A: RoundAdaptive>(
     opts: PassOpts,
     bcast: BroadcastOpts,
     side: &mut [SideSink<'_>],
-    runtime: &mut crate::runtime::ShardRuntime,
+    runtime: &mut ShardRuntime,
 ) -> (A::Output, ExecReport) {
-    assert_eq!(
-        runtime.shards(),
-        feed.num_shards(),
-        "runtime pool and feed must agree on the shard count"
-    );
-    run_insertion_rounds(alg, feed, seed, arena, opts, bcast, side, Some(runtime))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_insertion_rounds<A: RoundAdaptive>(
-    mut alg: A,
-    feed: &ShardedFeed,
-    seed: u64,
-    arena: &mut RouterArena,
-    opts: PassOpts,
-    bcast: BroadcastOpts,
-    side: &mut [SideSink<'_>],
-    mut runtime: Option<&mut crate::runtime::ShardRuntime>,
-) -> (A::Output, ExecReport) {
-    let mut report = ExecReport::default();
-    arena.begin_run();
-    let mut answers: Vec<Answer> = Vec::new();
-    loop {
-        let batch = alg.next_round(&answers);
-        if batch.is_empty() {
-            break;
-        }
-        report.rounds += 1;
-        report.passes += 1;
-        report.queries += batch.len();
-        report.answer_bytes += batch.len() * ANSWER_BYTES;
-        let pass_seed = split_seed(seed, report.passes as u64);
-        let side_now: &mut [SideSink<'_>] = if report.passes == 1 { side } else { &mut [] };
-        let (a, space) = match runtime.as_deref_mut() {
-            Some(rt) => rt.insertion_pass(&batch, feed, pass_seed, arena, opts, bcast, side_now),
-            None => answer_insertion_batch_broadcast_with_opts(
-                &batch, feed, pass_seed, arena, opts, bcast, side_now,
-            ),
-        };
-        report.max_pass_space_bytes = report.max_pass_space_bytes.max(space);
-        answers = a;
-        arena.note_round();
-    }
-    arena.end_run();
-    (alg.output(), report)
-}
-
-/// Turnstile sibling of [`run_insertion_broadcast`].
-pub fn run_turnstile_broadcast<A: RoundAdaptive>(
-    alg: A,
-    feed: &ShardedFeed,
-    seed: u64,
-    arena: &mut RouterArena,
-    side: &mut [SideSink<'_>],
-) -> (A::Output, ExecReport) {
-    run_turnstile_broadcast_with_opts(
+    run_broadcast(
+        Model::Insertion,
         alg,
         feed,
         seed,
         arena,
-        PassOpts::default(),
-        BroadcastOpts::default(),
+        opts,
+        bcast,
         side,
+        Some(runtime),
     )
-}
-
-/// [`run_turnstile_broadcast`] with explicit feed-path options and ring
-/// geometry.
-pub fn run_turnstile_broadcast_with_opts<A: RoundAdaptive>(
-    alg: A,
-    feed: &ShardedFeed,
-    seed: u64,
-    arena: &mut RouterArena,
-    opts: PassOpts,
-    bcast: BroadcastOpts,
-    side: &mut [SideSink<'_>],
-) -> (A::Output, ExecReport) {
-    let shards = feed.num_shards();
-    // See run_insertion_broadcast_with_opts: one persistent pool per run.
-    let mut runtime = bcast
-        .policy
-        .use_threads((shards + side.len()).max(2))
-        .then(|| crate::runtime::ShardRuntime::new(shards, bcast.policy));
-    run_turnstile_rounds(alg, feed, seed, arena, opts, bcast, side, runtime.as_mut())
-}
-
-/// Turnstile sibling of [`run_insertion_broadcast_on_runtime`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_turnstile_broadcast_on_runtime<A: RoundAdaptive>(
-    alg: A,
-    feed: &ShardedFeed,
-    seed: u64,
-    arena: &mut RouterArena,
-    opts: PassOpts,
-    bcast: BroadcastOpts,
-    side: &mut [SideSink<'_>],
-    runtime: &mut crate::runtime::ShardRuntime,
-) -> (A::Output, ExecReport) {
-    assert_eq!(
-        runtime.shards(),
-        feed.num_shards(),
-        "runtime pool and feed must agree on the shard count"
-    );
-    run_turnstile_rounds(alg, feed, seed, arena, opts, bcast, side, Some(runtime))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_turnstile_rounds<A: RoundAdaptive>(
-    mut alg: A,
-    feed: &ShardedFeed,
-    seed: u64,
-    arena: &mut RouterArena,
-    opts: PassOpts,
-    bcast: BroadcastOpts,
-    side: &mut [SideSink<'_>],
-    mut runtime: Option<&mut crate::runtime::ShardRuntime>,
-) -> (A::Output, ExecReport) {
-    let mut report = ExecReport::default();
-    arena.begin_run();
-    let mut answers: Vec<Answer> = Vec::new();
-    loop {
-        let batch = alg.next_round(&answers);
-        if batch.is_empty() {
-            break;
-        }
-        report.rounds += 1;
-        report.passes += 1;
-        report.queries += batch.len();
-        report.answer_bytes += batch.len() * ANSWER_BYTES;
-        let pass_seed = split_seed(seed, report.passes as u64);
-        let side_now: &mut [SideSink<'_>] = if report.passes == 1 { side } else { &mut [] };
-        let (a, space) = match runtime.as_deref_mut() {
-            Some(rt) => rt.turnstile_pass(&batch, feed, pass_seed, arena, opts, bcast, side_now),
-            None => answer_turnstile_batch_broadcast_with_opts(
-                &batch, feed, pass_seed, arena, opts, bcast, side_now,
-            ),
-        };
-        report.max_pass_space_bytes = report.max_pass_space_bytes.max(space);
-        answers = a;
-        arena.note_round();
-    }
-    arena.end_run();
-    (alg.output(), report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{answer_insertion_batch, answer_turnstile_batch};
+    use crate::exec::answer_batch;
     use sgs_graph::{gen, VertexId};
     use sgs_stream::{InsertionStream, TurnstileStream};
+
+    fn opts() -> PassOpts {
+        PassOpts::default()
+    }
+
+    /// One default-option broadcast pass with no side consumers.
+    fn broadcast(
+        model: Model,
+        batch: &[Query],
+        feed: &ShardedFeed,
+        pass_seed: u64,
+        arena: &mut RouterArena,
+    ) -> (Vec<Answer>, usize) {
+        let bcast = BroadcastOpts::default();
+        answer_batch_broadcast(model, batch, feed, pass_seed, arena, opts(), bcast, &mut [])
+    }
 
     fn mixed_insertion_batch() -> Vec<Query> {
         let mut qs = vec![Query::EdgeCount, Query::RandomEdge];
@@ -626,8 +358,8 @@ mod tests {
             let feed = ShardedFeed::partition(&ins, shards);
             let mut arena = RouterArena::new();
             for pass_seed in 0..8u64 {
-                let (a, _) = answer_insertion_batch(&batch, &ins, pass_seed);
-                let (b, _) = answer_insertion_batch_broadcast(&batch, &feed, pass_seed, &mut arena);
+                let (a, _) = answer_batch(Model::Insertion, &batch, &ins, pass_seed, opts());
+                let (b, _) = broadcast(Model::Insertion, &batch, &feed, pass_seed, &mut arena);
                 assert_eq!(a, b, "{shards} shards, pass seed {pass_seed}");
             }
         }
@@ -643,8 +375,8 @@ mod tests {
             let feed = ShardedFeed::partition(&tst, shards);
             let mut arena = RouterArena::new();
             for pass_seed in 0..5u64 {
-                let (a, _) = answer_turnstile_batch(&batch, &tst, pass_seed);
-                let (b, _) = answer_turnstile_batch_broadcast(&batch, &feed, pass_seed, &mut arena);
+                let (a, _) = answer_batch(Model::Turnstile, &batch, &tst, pass_seed, opts());
+                let (b, _) = broadcast(Model::Turnstile, &batch, &feed, pass_seed, &mut arena);
                 assert_eq!(a, b, "{shards} shards, pass seed {pass_seed}");
             }
         }
@@ -658,11 +390,12 @@ mod tests {
         let g = gen::gnm(20, 70, 123);
         let ins = InsertionStream::from_graph(&g, 124);
         let batch = mixed_insertion_batch();
-        let (expected, _) = answer_insertion_batch(&batch, &ins, 5);
+        let (expected, _) = answer_batch(Model::Insertion, &batch, &ins, 5, opts());
         let feed = ShardedFeed::partition(&ins, 3);
         let mut arena = RouterArena::new();
         for policy in [ExecPolicy::threaded(), ExecPolicy::serial()] {
-            let (got, _) = answer_insertion_batch_broadcast_with_opts(
+            let (got, _) = answer_batch_broadcast(
+                Model::Insertion,
                 &batch,
                 &feed,
                 5,
@@ -682,7 +415,7 @@ mod tests {
         let batch = mixed_insertion_batch();
         let feed = ShardedFeed::partition(&ins, 2);
         let mut arena = RouterArena::new();
-        let (expected, _) = answer_insertion_batch(&batch, &ins, 9);
+        let (expected, _) = answer_batch(Model::Insertion, &batch, &ins, 9, opts());
         let mut seen: Vec<RoutedUpdate> = Vec::new();
         let mut count = 0u64;
         {
@@ -690,7 +423,8 @@ mod tests {
                 Box::new(|b: &[RoutedUpdate]| seen.extend_from_slice(b)),
                 Box::new(|b: &[RoutedUpdate]| count += b.len() as u64),
             ];
-            let (got, _) = answer_insertion_batch_broadcast_with_opts(
+            let (got, _) = answer_batch_broadcast(
+                Model::Insertion,
                 &batch,
                 &feed,
                 9,
@@ -733,8 +467,17 @@ mod tests {
             let mut sinks: Vec<SideSink<'_>> = vec![Box::new(|b: &[RoutedUpdate]| {
                 sides_updates += b.len() as u64
             })];
-            let (_, report) =
-                run_insertion_broadcast(TwoRounds { round: 0 }, &feed, 7, &mut arena, &mut sinks);
+            let (_, report) = run_broadcast(
+                Model::Insertion,
+                TwoRounds { round: 0 },
+                &feed,
+                7,
+                &mut arena,
+                opts(),
+                BroadcastOpts::default(),
+                &mut sinks,
+                None,
+            );
             assert_eq!(report.rounds, 2);
             assert_eq!(report.passes, 2);
         }
@@ -753,7 +496,7 @@ mod tests {
         let feed = ShardedFeed::partition(&ins, 2);
         let mut arena = RouterArena::new();
         let batch = vec![Query::EdgeCount, Query::RandomEdge];
-        let (a, _) = answer_insertion_batch_broadcast(&batch, &feed, 3, &mut arena);
+        let (a, _) = broadcast(Model::Insertion, &batch, &feed, 3, &mut arena);
         assert_eq!(a[0], Answer::EdgeCount(0));
         assert_eq!(a[1], Answer::Edge(None));
     }

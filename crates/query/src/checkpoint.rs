@@ -33,14 +33,13 @@
 
 use crate::accounting::ExecReport;
 use crate::arena::RouterArena;
+use crate::broadcast::filter_block;
 use crate::exec::{PassOpts, ANSWER_BYTES};
 use crate::query::Answer;
 use crate::round::RoundAdaptive;
-use crate::router::RouterMode;
-use crate::sharded::{
-    draw_targets, merge_answers, split_batch, InsertionShardPass, ShardOutcome, TurnstileShardPass,
-};
-use sgs_graph::{Edge, VertexId};
+use crate::router::Model;
+use crate::sharded::{PassCtx, ShardPass};
+use sgs_graph::VertexId;
 use sgs_stream::hash::split_seed;
 use sgs_stream::persist::{
     frame, publish_snapshot, read_frame_of, read_latest_snapshot, read_wal, Decoder, Encoder,
@@ -128,8 +127,8 @@ fn decode_answer(dec: &mut Decoder) -> PersistResult<Answer> {
 /// A decoded estimator snapshot: everything needed to resume the run
 /// from one delivery-block boundary of one in-flight pass.
 struct SnapshotState {
-    /// 0 = insertion, 1 = turnstile — must match the resuming driver.
-    model: u8,
+    /// Must match the resuming driver's model.
+    model: Model,
     shards: u64,
     chunk: u64,
     block: u64,
@@ -156,7 +155,7 @@ fn reservoir_tag(mode: ReservoirMode) -> u8 {
 
 #[allow(clippy::too_many_arguments)]
 fn encode_snapshot(
-    model: u8,
+    model: Model,
     shards: usize,
     chunk: usize,
     opts: PassOpts,
@@ -168,7 +167,7 @@ fn encode_snapshot(
     shard_blobs: &[Vec<u8>],
 ) -> Vec<u8> {
     let mut enc = Encoder::new();
-    enc.u8(model);
+    enc.u8(model.tag());
     enc.u64(shards as u64);
     enc.u64(chunk as u64);
     enc.u64(opts.block as u64);
@@ -198,10 +197,10 @@ fn encode_snapshot(
 fn decode_snapshot(bytes: &[u8]) -> PersistResult<SnapshotState> {
     let f = read_frame_of(bytes, 0, KIND_SNAPSHOT)?;
     let mut dec = Decoder::new(f.payload);
-    let model = dec.u8("snapshot model")?;
-    if model > 1 {
-        return Err(dec.corrupt(format!("unknown snapshot model {model}")));
-    }
+    let tag = dec.u8("snapshot model")?;
+    let Some(model) = Model::from_tag(tag) else {
+        return Err(dec.corrupt(format!("unknown snapshot model {tag}")));
+    };
     let shards = dec.u64("shard count")?;
     let chunk = dec.u64("chunk size")?;
     let block = dec.u64("feed block size")?;
@@ -267,8 +266,7 @@ fn decode_snapshot(bytes: &[u8]) -> PersistResult<SnapshotState> {
 /// (the durable copy of the stream) and starts fresh;
 /// [`CheckpointSession::resume`] rebuilds the feed from the WAL and
 /// loads the latest snapshot, if any. Either way the session is then
-/// passed to [`run_insertion_checkpointed`] /
-/// [`run_turnstile_checkpointed`].
+/// passed to [`run_checkpointed`].
 pub struct CheckpointSession {
     dir: PathBuf,
     snapshot_every: u64,
@@ -406,7 +404,7 @@ impl CheckpointSession {
     #[allow(clippy::too_many_arguments)]
     fn publish(
         &mut self,
-        model: u8,
+        model: Model,
         shards: usize,
         opts: PassOpts,
         seed: u64,
@@ -437,7 +435,7 @@ impl CheckpointSession {
     /// configuration and hand it over.
     fn take_resume(
         &mut self,
-        model: u8,
+        model: Model,
         shards: usize,
         opts: PassOpts,
         seed: u64,
@@ -453,7 +451,7 @@ impl CheckpointSession {
             .located(&self.dir))
         };
         if snap.model != model {
-            return mismatch("model", snap.model as u64, model as u64);
+            return mismatch("model", snap.model.tag() as u64, model.tag() as u64);
         }
         if snap.shards != shards as u64 {
             return mismatch("shard count", snap.shards, shards as u64);
@@ -513,24 +511,12 @@ fn replay_history<A: RoundAdaptive>(
     Ok(answers)
 }
 
-fn filter_chunk(
-    chunk: &[sgs_stream::sharded::RoutedUpdate],
-    sid: usize,
-    out: &mut Vec<ShardUpdate>,
-) {
-    out.clear();
-    for r in chunk {
-        if let Some(su) = r.delivery_for(sid) {
-            out.push(su);
-        }
-    }
-}
-
-/// Execute a round-adaptive algorithm as a checkpointed insertion-only
-/// streaming run: the cooperative single-threaded sibling of
-/// [`crate::sharded::run_insertion_sharded_with_opts`], byte-identical
-/// to it, feeding every shard pass machine chunk by chunk so estimator
-/// state can be snapshotted at delivery-block boundaries.
+/// Execute a round-adaptive algorithm as a checkpointed streaming run in
+/// `model`: the cooperative single-threaded sibling of
+/// [`crate::sharded::run_sharded`], byte-identical to it, feeding every
+/// shard pass machine chunk by chunk so estimator state can be
+/// snapshotted at delivery-block boundaries. `opts.reservoir` is ignored
+/// in the turnstile model (turnstile `f3` runs on ℓ₀-samplers).
 ///
 /// Returns `Ok(None)` iff the session's simulated crash point was hit;
 /// otherwise the same `(output, report)` the uninterrupted executors
@@ -538,42 +524,14 @@ fn filter_chunk(
 /// [`CheckpointSession::resume`]), the run fast-forwards through the
 /// snapshot's answer history and picks the in-flight pass up at its
 /// recorded block offset.
-pub fn run_insertion_checkpointed<A: RoundAdaptive>(
-    alg: A,
-    feed: &ShardedFeed,
-    seed: u64,
-    arena: &mut RouterArena,
-    opts: PassOpts,
-    session: &mut CheckpointSession,
-) -> PersistResult<Option<(A::Output, ExecReport)>> {
-    run_checkpointed(alg, feed, seed, arena, opts, session, 0)
-}
-
-/// Turnstile sibling of [`run_insertion_checkpointed`]. `opts.block` is
-/// the feed block size; `opts.reservoir` is ignored (turnstile `f3`
-/// runs on ℓ₀-samplers).
-pub fn run_turnstile_checkpointed<A: RoundAdaptive>(
-    alg: A,
-    feed: &ShardedFeed,
-    seed: u64,
-    arena: &mut RouterArena,
-    opts: PassOpts,
-    session: &mut CheckpointSession,
-) -> PersistResult<Option<(A::Output, ExecReport)>> {
-    run_checkpointed(alg, feed, seed, arena, opts, session, 1)
-}
-
-/// The shared driver: `model` picks which pass machines run (0 =
-/// insertion, 1 = turnstile). One loop shape so the crash/snapshot
-/// logic cannot drift between the models.
-fn run_checkpointed<A: RoundAdaptive>(
+pub fn run_checkpointed<A: RoundAdaptive>(
+    model: Model,
     mut alg: A,
     feed: &ShardedFeed,
     seed: u64,
     arena: &mut RouterArena,
     opts: PassOpts,
     session: &mut CheckpointSession,
-    model: u8,
 ) -> PersistResult<Option<(A::Output, ExecReport)>> {
     let shards = feed.num_shards();
     let chunk = session.chunk;
@@ -610,40 +568,16 @@ fn run_checkpointed<A: RoundAdaptive>(
         }
         let pass_seed = split_seed(seed, report.passes as u64);
         feed.begin_pass();
-        let mode = if model == 0 {
-            RouterMode::Insertion
-        } else {
-            RouterMode::Turnstile
-        };
-        split_batch(&batch, mode, feed.shard_map(), arena);
-        let mut targets = std::mem::take(&mut arena.scratch_targets);
-        let f1_slots = std::mem::take(&mut arena.scratch_edge);
-        if model == 0 {
-            draw_targets(&batch, feed.stream_len() as u64, pass_seed, &mut targets);
-        }
-        enum Pass<'a> {
-            Insertion(InsertionShardPass<'a>),
-            Turnstile(TurnstileShardPass<'a>),
-        }
-        let n = feed.num_vertices();
-        let mut passes: Vec<Pass<'_>> = arena.slots[..shards]
+        let ctx = PassCtx::begin(model, &batch, feed, pass_seed, arena);
+        let mut passes: Vec<ShardPass<'_>> = arena.slots[..shards]
             .iter_mut()
-            .map(|slot| {
-                if model == 0 {
-                    Pass::Insertion(InsertionShardPass::new(slot, &targets, pass_seed, opts))
-                } else {
-                    Pass::Turnstile(TurnstileShardPass::new(slot, n, &f1_slots, pass_seed, opts))
-                }
-            })
+            .map(|slot| ShardPass::new(model, slot, &ctx, pass_seed, opts))
             .collect();
         let mut start_block = 0usize;
         if resuming {
             if let Some(blobs) = resume_blobs.take() {
                 for (p, b) in passes.iter_mut().zip(&blobs) {
-                    match p {
-                        Pass::Insertion(p) => p.restore_state(b)?,
-                        Pass::Turnstile(p) => p.restore_state(b)?,
-                    }
+                    p.restore_state(b)?;
                 }
             }
             start_block = resume_offset as usize;
@@ -656,11 +590,8 @@ fn run_checkpointed<A: RoundAdaptive>(
             let lo = bi * chunk;
             let hi = (lo + chunk).min(routed.len());
             for (sid, pass) in passes.iter_mut().enumerate() {
-                filter_chunk(&routed[lo..hi], sid, &mut scratch);
-                match pass {
-                    Pass::Insertion(p) => p.feed(&scratch),
-                    Pass::Turnstile(p) => p.feed(&scratch),
-                }
+                filter_block(&routed[lo..hi], sid, &mut scratch);
+                pass.feed(&scratch);
             }
             session.blocks_processed += 1;
             if session.snapshot_every > 0
@@ -668,13 +599,7 @@ fn run_checkpointed<A: RoundAdaptive>(
                     .blocks_processed
                     .is_multiple_of(session.snapshot_every)
             {
-                let blobs: Vec<Vec<u8>> = passes
-                    .iter()
-                    .map(|p| match p {
-                        Pass::Insertion(p) => p.snapshot_state(),
-                        Pass::Turnstile(p) => p.snapshot_state(),
-                    })
-                    .collect();
+                let blobs: Vec<Vec<u8>> = passes.iter().map(ShardPass::snapshot_state).collect();
                 session.publish(
                     model,
                     shards,
@@ -688,45 +613,16 @@ fn run_checkpointed<A: RoundAdaptive>(
             }
             if session.crash_after == Some(session.blocks_processed) {
                 drop(passes);
-                arena.scratch_targets = targets;
-                arena.scratch_edge = f1_slots;
+                arena.scratch_targets = ctx.targets;
+                arena.scratch_edge = ctx.f1_slots;
                 return Ok(None);
             }
         }
         resuming = false;
 
-        let mut outcomes: Vec<ShardOutcome> = Vec::with_capacity(shards);
-        for p in passes {
-            outcomes.push(match p {
-                Pass::Insertion(p) => p.finish(),
-                Pass::Turnstile(p) => p.finish(),
-            });
-        }
-        let mut space = outcomes.iter().map(|o| o.space_bytes).sum::<usize>();
-        if model == 0 {
-            space += targets.len() * 16;
-        }
+        let outcomes = passes.into_iter().map(ShardPass::finish).collect();
+        let (merged, space) = ctx.finish(model, batch.len(), feed, arena, outcomes);
         report.max_pass_space_bytes = report.max_pass_space_bytes.max(space);
-        arena.scratch_targets = targets;
-        let mut merged = {
-            let a = merge_answers(batch.len(), feed, arena, shards, &outcomes);
-            arena.scratch_edge = f1_slots;
-            a
-        };
-        if model == 1 {
-            // Merge the per-shard f1 banks into shard 0's (linear
-            // sketches) and answer the f1 slots from the merged state —
-            // the same merge the sharded/broadcast drivers perform.
-            let (head, rest) = outcomes.split_at_mut(1);
-            for o in rest.iter() {
-                for (a, b) in head[0].f1_bank.iter_mut().zip(&o.f1_bank) {
-                    a.merge(b);
-                }
-            }
-            for (&slot, s) in arena.scratch_edge.iter().zip(&outcomes[0].f1_bank) {
-                merged[slot as usize] = Answer::Edge(s.sample().map(Edge::from_key));
-            }
-        }
         answers = merged;
         history.push(answers.clone());
         arena.note_round();
@@ -738,9 +634,11 @@ fn run_checkpointed<A: RoundAdaptive>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::ExecPolicy;
     use crate::query::Query;
-    use crate::sharded::{run_insertion_sharded_with_opts, run_turnstile_sharded_with_block};
+    use crate::sharded::run_sharded;
     use sgs_graph::gen;
+    use sgs_graph::Edge;
     use sgs_stream::{InsertionStream, TurnstileStream};
 
     /// A 2-round protocol exercising every insertion answer kind.
@@ -827,7 +725,8 @@ mod tests {
             let dir = tmp_dir(&format!("ins-eq-{shards}"));
             let mut session = CheckpointSession::create(&dir, &feed, 0, 16).unwrap();
             let mut arena = RouterArena::new();
-            let got = run_insertion_checkpointed(
+            let got = run_checkpointed(
+                Model::Insertion,
                 probe(false),
                 &feed,
                 7,
@@ -838,12 +737,14 @@ mod tests {
             .unwrap()
             .expect("no crash requested");
             let mut arena2 = RouterArena::new();
-            let want = run_insertion_sharded_with_opts(
+            let want = run_sharded(
+                Model::Insertion,
                 probe(false),
                 &feed,
                 7,
                 &mut arena2,
                 PassOpts::default(),
+                ExecPolicy::default(),
             );
             assert_eq!(got.0, want.0, "{shards} shards");
             assert_eq!(got.1.rounds, want.1.rounds);
@@ -861,7 +762,8 @@ mod tests {
             let dir = tmp_dir(&format!("tst-eq-{shards}"));
             let mut session = CheckpointSession::create(&dir, &feed, 0, 16).unwrap();
             let mut arena = RouterArena::new();
-            let got = run_turnstile_checkpointed(
+            let got = run_checkpointed(
+                Model::Turnstile,
                 probe(true),
                 &feed,
                 9,
@@ -872,12 +774,14 @@ mod tests {
             .unwrap()
             .expect("no crash requested");
             let mut arena2 = RouterArena::new();
-            let want = run_turnstile_sharded_with_block(
+            let want = run_sharded(
+                Model::Turnstile,
                 probe(true),
                 &feed,
                 9,
                 &mut arena2,
-                PassOpts::default().block,
+                PassOpts::default(),
+                ExecPolicy::default(),
             );
             assert_eq!(got.0, want.0, "{shards} shards");
             std::fs::remove_dir_all(&dir).unwrap();
@@ -893,7 +797,8 @@ mod tests {
         let chunk = 16usize;
         let mut session = CheckpointSession::create(&dir, &feed, 2, chunk).unwrap();
         let mut arena = RouterArena::new();
-        let baseline = run_insertion_checkpointed(
+        let baseline = run_checkpointed(
+            Model::Insertion,
             probe(false),
             &feed,
             11,
@@ -909,7 +814,8 @@ mod tests {
             let mut session = CheckpointSession::create(&dir, &feed, 2, chunk).unwrap();
             session.set_crash_after(crash_at);
             let mut arena = RouterArena::new();
-            let crashed = run_insertion_checkpointed(
+            let crashed = run_checkpointed(
+                Model::Insertion,
                 probe(false),
                 &feed,
                 11,
@@ -921,7 +827,8 @@ mod tests {
             assert!(crashed.is_none(), "crash at block {crash_at} did not fire");
             let (mut resumed, feed2) = CheckpointSession::resume(&dir, 2).unwrap();
             let mut arena = RouterArena::new();
-            let got = run_insertion_checkpointed(
+            let got = run_checkpointed(
+                Model::Insertion,
                 probe(false),
                 &feed2,
                 11,
@@ -947,7 +854,8 @@ mod tests {
         // recovery replays from the start of the WAL.
         let mut session = CheckpointSession::create(&dir, &feed, 0, 16).unwrap();
         let mut arena = RouterArena::new();
-        let baseline = run_insertion_checkpointed(
+        let baseline = run_checkpointed(
+            Model::Insertion,
             probe(false),
             &feed,
             13,
@@ -960,7 +868,8 @@ mod tests {
         let mut session = CheckpointSession::create(&dir, &feed, 0, 16).unwrap();
         session.set_crash_after(1);
         let mut arena = RouterArena::new();
-        assert!(run_insertion_checkpointed(
+        assert!(run_checkpointed(
+            Model::Insertion,
             probe(false),
             &feed,
             13,
@@ -973,7 +882,8 @@ mod tests {
         let (mut resumed, feed2) = CheckpointSession::resume(&dir, 0).unwrap();
         assert!(!resumed.has_resume_state());
         let mut arena = RouterArena::new();
-        let got = run_insertion_checkpointed(
+        let got = run_checkpointed(
+            Model::Insertion,
             probe(false),
             &feed2,
             13,
@@ -997,7 +907,8 @@ mod tests {
         let mut session = CheckpointSession::create(&dir, &feed, 1, 16).unwrap();
         session.set_crash_after(3);
         let mut arena = RouterArena::new();
-        let _ = run_insertion_checkpointed(
+        let _ = run_checkpointed(
+            Model::Insertion,
             probe(false),
             &feed,
             15,
@@ -1009,7 +920,8 @@ mod tests {
         let (mut resumed, feed2) = CheckpointSession::resume(&dir, 1).unwrap();
         assert!(resumed.has_resume_state());
         let mut arena = RouterArena::new();
-        let err = run_insertion_checkpointed(
+        let err = run_checkpointed(
+            Model::Insertion,
             probe(false),
             &feed2,
             16, // wrong seed

@@ -29,12 +29,11 @@
 //!
 //! `run_insertion`/`run_turnstile` are the **single-shard cases** of the
 //! sharded pipeline in [`crate::sharded`]: they partition the stream into
-//! one shard and run the same split/route/merge machinery an N-shard
-//! execution uses. The per-batch entry points
-//! [`answer_insertion_batch`] / [`answer_turnstile_batch`] keep the
-//! direct single-stream implementation — they are the seam benchmarks
-//! and sharded drivers merge through, and the baseline the sharded path
-//! is measured against.
+//! one shard and run the same round driver an N-shard execution uses.
+//! The per-batch entry point [`answer_batch`] keeps the direct
+//! single-stream implementation for either [`Model`] — it is the seam
+//! benchmarks and the one-shard sharded path run through, and the
+//! baseline the sharded path is measured against.
 //!
 //! Executors never contribute algorithm randomness: the per-pass sketch
 //! seeds only decide *which* uniform sample each query receives, mirroring
@@ -43,10 +42,10 @@
 use crate::accounting::ExecReport;
 use crate::arena::RouterArena;
 use crate::oracle::GraphOracle;
+use crate::policy::ExecPolicy;
 use crate::query::{Answer, Query};
 use crate::round::RoundAdaptive;
-use crate::router::{QueryRouter, RouterMode};
-use crate::sharded::run_turnstile_sharded;
+use crate::router::{Model, QueryRouter};
 use sgs_graph::{Edge, VertexId};
 use sgs_stream::hash::{split_seed, FastRng};
 use sgs_stream::l0::{L0Mode, L0Sampler};
@@ -65,9 +64,8 @@ pub(crate) const ANSWER_BYTES: usize = 16;
 /// both, and `sgs count --block N` exposes the knob end to end.
 pub const DEFAULT_BLOCK: usize = 128;
 
-/// Feed-path tuning knobs threaded through every insertion executor
-/// entry point (`*_with_opts`), the sharded drivers, `sgs-core`'s
-/// estimators, and `sgs count`.
+/// Feed-path tuning knobs threaded through every executor entry point,
+/// `sgs-core`'s estimators, and `sgs count`.
 ///
 /// `block` is the PR-3 feed block size (`<= 1` = scalar per-update
 /// path; byte-identical either way). `reservoir` picks the relaxed-`f3`
@@ -262,7 +260,7 @@ struct InsertionPass {
 
 impl InsertionPass {
     fn build(batch: &[Query], stream_len: u64, pass_seed: u64, reservoir: ReservoirMode) -> Self {
-        let router = QueryRouter::build(batch, RouterMode::Insertion);
+        let router = QueryRouter::build(batch, Model::Insertion);
         // f1 position draws are consumed in batch order from the pass rng
         // (`edge_slots` preserves batch order), matching the reference
         // executor coin-for-coin.
@@ -366,49 +364,9 @@ impl InsertionPass {
     }
 }
 
-/// Answer one round's batch with one insertion-only pass (the unit step
-/// of Theorem 9). Returns the answers and the pass state's measured
-/// footprint. Exposed so benchmarks and sharded drivers can exercise the
-/// pass emulation directly.
-pub fn answer_insertion_batch(
-    batch: &[Query],
-    stream: &impl EdgeStream,
-    pass_seed: u64,
-) -> (Vec<Answer>, usize) {
-    answer_insertion_batch_with_opts(batch, stream, pass_seed, PassOpts::default())
-}
-
-/// [`answer_insertion_batch`] with an explicit feed block size:
-/// `block <= 1` replays the scalar per-update path, anything larger
-/// feeds the pass in blocks of `block` updates (batched index probes,
-/// remainder block included). Answers are byte-identical either way
-/// (the reservoir mode stays the default for every block size).
-pub fn answer_insertion_batch_with_block(
-    batch: &[Query],
-    stream: &impl EdgeStream,
-    pass_seed: u64,
-    block: usize,
-) -> (Vec<Answer>, usize) {
-    answer_insertion_batch_with_opts(batch, stream, pass_seed, PassOpts::with_block(block))
-}
-
-/// [`answer_insertion_batch`] with full feed-path options: block size
-/// plus the relaxed-`f3` reservoir mode (see [`PassOpts`]).
-pub fn answer_insertion_batch_with_opts(
-    batch: &[Query],
-    stream: &impl EdgeStream,
-    pass_seed: u64,
-    opts: PassOpts,
-) -> (Vec<Answer>, usize) {
-    let mut pass = InsertionPass::build(batch, stream.len() as u64, pass_seed, opts.reservoir);
-    replay_blocked(stream, opts.block, &mut pass);
-    let space = pass.space_bytes();
-    (pass.into_answers(), space)
-}
-
-/// Diagnostic twin of [`answer_insertion_batch_with_opts`]: run the same
-/// pass and report how many RNG draws the relaxed-`f3` reservoir bank
-/// consumed. The acceptance criteria for the skip-ahead rework are
+/// Diagnostic twin of [`answer_batch`] for the insertion model: run the
+/// same pass and report how many RNG draws the relaxed-`f3` reservoir
+/// bank consumed. The acceptance criteria for the skip-ahead rework are
 /// stated in *counted* draws per pass (`Θ(k·m)` per-offer vs
 /// `O(k·log m)` skip-ahead); `benches/reservoir.rs` records both modes
 /// through this seam.
@@ -426,39 +384,54 @@ pub fn insertion_pass_reservoir_draws(
 /// Execute as an insertion-only streaming algorithm: one pass per round
 /// (Theorem 9).
 ///
-/// Since the sharded-pipeline refactor this is the thin single-shard case
-/// of [`crate::sharded::run_insertion_sharded`]: the stream is
-/// partitioned into one shard and each round is answered through the
-/// sharded driver (which at one shard replays the feed straight through
-/// [`answer_insertion_batch`], keeping the direct per-pass cost).
+/// The thin single-shard case of [`crate::sharded::run_sharded`]: the
+/// stream is partitioned into one shard and each round is answered
+/// through the sharded driver (which at one shard replays the feed
+/// straight through [`answer_batch`], keeping the direct per-pass cost).
 ///
 /// The partition buffers the stream's updates once (driver-side harness
 /// state, like the replayable stream object itself — *not* counted in
 /// `max_pass_space_bytes`, which keeps reporting only the Theorem-9
-/// pass-emulation state) and stores positions as `u32`. Callers that run
-/// many executions over one stream should partition once themselves and
-/// call [`crate::sharded::run_insertion_sharded`] with a shared feed and
-/// arena.
+/// pass-emulation state). Callers that run many executions over one
+/// stream, or need non-default [`PassOpts`], should partition once
+/// themselves and call [`crate::sharded::run_sharded`] with a shared feed
+/// and arena.
 pub fn run_insertion<A: RoundAdaptive>(
     alg: A,
     stream: &impl EdgeStream,
     seed: u64,
 ) -> (A::Output, ExecReport) {
-    run_insertion_with_opts(alg, stream, seed, PassOpts::default())
+    run_single_shard(Model::Insertion, alg, stream, seed)
 }
 
-/// [`run_insertion`] with explicit feed-path options — the seam the
-/// distribution-equivalence suite uses to replay the per-offer oracle
-/// (`PassOpts::oracle()`) against the skip-ahead default.
-pub fn run_insertion_with_opts<A: RoundAdaptive>(
+/// Execute as a turnstile streaming algorithm: one pass per round
+/// (Theorem 11). The thin single-shard case of
+/// [`crate::sharded::run_sharded`]; see [`run_insertion`].
+pub fn run_turnstile<A: RoundAdaptive>(
     alg: A,
     stream: &impl EdgeStream,
     seed: u64,
-    opts: PassOpts,
+) -> (A::Output, ExecReport) {
+    run_single_shard(Model::Turnstile, alg, stream, seed)
+}
+
+fn run_single_shard<A: RoundAdaptive>(
+    model: Model,
+    alg: A,
+    stream: &impl EdgeStream,
+    seed: u64,
 ) -> (A::Output, ExecReport) {
     let feed = ShardedFeed::partition(stream, 1);
     let mut arena = RouterArena::new();
-    crate::sharded::run_insertion_sharded_with_opts(alg, &feed, seed, &mut arena, opts)
+    crate::sharded::run_sharded(
+        model,
+        alg,
+        &feed,
+        seed,
+        &mut arena,
+        PassOpts::default(),
+        ExecPolicy::default(),
+    )
 }
 
 /// Per-pass state for the turnstile model: the shared router plus one
@@ -478,7 +451,7 @@ struct TurnstilePass {
 
 impl TurnstilePass {
     fn build(batch: &[Query], n: usize, pass_seed: u64, l0: L0Mode) -> Self {
-        let router = QueryRouter::build(batch, RouterMode::Turnstile);
+        let router = QueryRouter::build(batch, Model::Turnstile);
         let edge_samplers = router
             .edge_slots()
             .iter()
@@ -586,56 +559,34 @@ impl TurnstilePass {
     }
 }
 
-/// Answer one round's batch with one turnstile pass (the unit step of
-/// Theorem 11). Returns the answers and the pass state's measured
-/// footprint.
-pub fn answer_turnstile_batch(
-    batch: &[Query],
-    stream: &impl EdgeStream,
-    pass_seed: u64,
-) -> (Vec<Answer>, usize) {
-    answer_turnstile_batch_with_opts(batch, stream, pass_seed, PassOpts::default())
-}
-
-/// [`answer_turnstile_batch`] with an explicit feed block size; see
-/// [`answer_insertion_batch_with_block`].
-pub fn answer_turnstile_batch_with_block(
-    batch: &[Query],
-    stream: &impl EdgeStream,
-    pass_seed: u64,
-    block: usize,
-) -> (Vec<Answer>, usize) {
-    answer_turnstile_batch_with_opts(batch, stream, pass_seed, PassOpts::with_block(block))
-}
-
-/// [`answer_turnstile_batch`] with full feed-path options: block size
-/// plus the ℓ₀-bank feed path ([`PassOpts::l0`]). Answers are
-/// byte-identical across every option combination.
-pub fn answer_turnstile_batch_with_opts(
+/// Answer one round's batch with one single-stream pass: the unit step
+/// of Theorem 9 (insertion) or Theorem 11 (turnstile). Returns the
+/// answers and the pass state's measured footprint. `opts.block <= 1`
+/// replays the scalar per-update path, anything larger feeds the pass in
+/// blocks (batched index probes, ℓ₀ lane loops); answers are
+/// byte-identical for every block size and ℓ₀ feed path.
+pub fn answer_batch(
+    model: Model,
     batch: &[Query],
     stream: &impl EdgeStream,
     pass_seed: u64,
     opts: PassOpts,
 ) -> (Vec<Answer>, usize) {
-    let mut pass = TurnstilePass::build(batch, stream.num_vertices(), pass_seed, opts.l0);
-    replay_blocked(stream, opts.block, &mut pass);
-    let space = pass.space_bytes();
-    (pass.into_answers(), space)
-}
-
-/// Execute as a turnstile streaming algorithm: one pass per round
-/// (Theorem 11).
-///
-/// The thin single-shard case of
-/// [`crate::sharded::run_turnstile_sharded`]; see [`run_insertion`].
-pub fn run_turnstile<A: RoundAdaptive>(
-    alg: A,
-    stream: &impl EdgeStream,
-    seed: u64,
-) -> (A::Output, ExecReport) {
-    let feed = ShardedFeed::partition(stream, 1);
-    let mut arena = RouterArena::new();
-    run_turnstile_sharded(alg, &feed, seed, &mut arena)
+    match model {
+        Model::Insertion => {
+            let mut pass =
+                InsertionPass::build(batch, stream.len() as u64, pass_seed, opts.reservoir);
+            replay_blocked(stream, opts.block, &mut pass);
+            let space = pass.space_bytes();
+            (pass.into_answers(), space)
+        }
+        Model::Turnstile => {
+            let mut pass = TurnstilePass::build(batch, stream.num_vertices(), pass_seed, opts.l0);
+            replay_blocked(stream, opts.block, &mut pass);
+            let space = pass.space_bytes();
+            (pass.into_answers(), space)
+        }
+    }
 }
 
 #[cfg(test)]
@@ -991,11 +942,14 @@ mod tests {
                 asked: false,
                 got: vec![],
             };
-            let (a, ra) = run_insertion_with_opts(
+            let (a, ra) = crate::sharded::run_sharded(
+                Model::Insertion,
                 new,
-                &ins,
+                &ShardedFeed::partition(&ins, 1),
                 seed,
+                &mut RouterArena::new(),
                 PassOpts::with_reservoir(ReservoirMode::Offer),
+                ExecPolicy::default(),
             );
             let (b, rb) = run_insertion_reference(old, &ins, seed);
             assert_eq!(a, b, "seed {seed}");

@@ -4,6 +4,15 @@
 //! transformation from *round-adaptive* sublinear-time graph query
 //! algorithms to multi-pass streaming algorithms.
 //!
+//! The stream model is a value, [`Model`]: every engine takes it as an
+//! argument, feeds one shard pass machine per shard, and runs one round
+//! driver (`next_round` → one pass → accounting). The engines differ only
+//! in where a pass's deliveries come from: scoped-thread shard buffers
+//! ([`sharded::run_sharded`]), a broadcast ring ([`broadcast::run_broadcast`]),
+//! a persistent worker pool ([`ShardRuntime::pass`]), chunked durable
+//! replay ([`checkpoint::run_checkpointed`]), or one pass shared by many
+//! queries ([`QuerySet::run`]).
+//!
 //! * [`query`] — the query/answer vocabulary of the augmented general
 //!   graph model (Definition 6) and its relaxed variant (Definition 10),
 //! * [`oracle`] — direct oracles over materialized graphs,
@@ -37,8 +46,8 @@
 //!   [`exec::run_insertion`] (Theorem 9: one pass per round, reservoir
 //!   samplers + counters), and
 //!   [`exec::run_turnstile`] (Theorem 11: ℓ₀-samplers),
-//! * [`reference`] — the pre-router executors, frozen as the equivalence
-//!   oracle and perf baseline,
+//! * [`reference`](mod@reference) — the pre-router executors, frozen as
+//!   the equivalence oracle and perf baseline,
 //! * [`accounting`] — rounds / passes / queries / measured-space reports,
 //! * [`triangle_finder`] — the paper's §3 worked example (the 4-round
 //!   triangle finder), used by tests and experiment E10.
@@ -64,24 +73,20 @@ pub mod triangle_finder;
 pub use accounting::ExecReport;
 pub use arena::RouterArena;
 pub use broadcast::{
-    answer_insertion_batch_broadcast, answer_insertion_batch_broadcast_with_opts,
-    answer_turnstile_batch_broadcast, answer_turnstile_batch_broadcast_with_opts,
-    run_insertion_broadcast, run_insertion_broadcast_on_runtime, run_insertion_broadcast_with_opts,
-    run_turnstile_broadcast, run_turnstile_broadcast_on_runtime, run_turnstile_broadcast_with_opts,
-    BroadcastOpts, SideSink,
+    answer_batch_broadcast, run_broadcast, run_insertion_broadcast_on_runtime, BroadcastOpts,
+    SideSink,
 };
 pub use checkpoint::{
-    run_insertion_checkpointed, run_turnstile_checkpointed, CheckpointSession,
-    DEFAULT_CHECKPOINT_CHUNK, DEFAULT_SNAPSHOT_EVERY,
+    run_checkpointed, CheckpointSession, DEFAULT_CHECKPOINT_CHUNK, DEFAULT_SNAPSHOT_EVERY,
 };
 pub use exec::PassOpts;
-pub use multiplex::{AdmissionReport, MuxJobStats, MuxOutput, MuxRoundStats, QuerySet};
+pub use multiplex::{AdmissionReport, Engine, MuxJobStats, MuxOutput, MuxRoundStats, QuerySet};
 pub use oracle::{ExactOracle, GraphOracle};
 pub use policy::{host_cores, pin_current_thread, ExecPolicy, ThreadMode};
 pub use query::{Answer, Query};
 pub use relaxed::RelaxedOracle;
 pub use round::{Parallel, RoundAdaptive};
-pub use router::{QueryRouter, RouterMode};
+pub use router::{Model, QueryRouter};
 pub use runtime::ShardRuntime;
 pub use serve::{
     decode_serve_config, encode_serve_config, read_serve_snapshot, ServeConfig, ServeError,
@@ -90,11 +95,6 @@ pub use serve::{
 pub use sgs_stream::l0::L0Mode;
 pub use sgs_stream::reservoir::ReservoirMode;
 pub use sharded::{
-    answer_insertion_batch_sharded, answer_insertion_batch_sharded_with_block,
-    answer_insertion_batch_sharded_with_exec, answer_insertion_batch_sharded_with_opts,
-    answer_turnstile_batch_sharded, answer_turnstile_batch_sharded_with_block,
-    answer_turnstile_batch_sharded_with_exec, run_insertion_sharded,
-    run_insertion_sharded_with_block, run_insertion_sharded_with_exec,
-    run_insertion_sharded_with_opts, run_turnstile_sharded, run_turnstile_sharded_with_block,
+    answer_batch_sharded, run_insertion_sharded_with_exec, run_sharded,
     run_turnstile_sharded_with_exec,
 };

@@ -19,7 +19,7 @@
 //!
 //! * a job's pass seed is `split_seed(job_seed, job_passes)` where
 //!   `job_passes` counts only the rounds *this job* participates in —
-//!   the same chain [`crate::sharded::run_insertion_sharded`] walks;
+//!   the same chain [`crate::sharded::run_sharded`] walks;
 //! * `f1` targets are drawn per job from `FastRng(job_pass_seed)` in the
 //!   job's own batch order — the exact coin sequence of its solo pass —
 //!   then merged across jobs by position for cursor matching (hits
@@ -54,21 +54,22 @@
 
 use crate::accounting::ExecReport;
 use crate::arena::{RouterArena, ShardSlot};
-use crate::broadcast::BroadcastOpts;
+use crate::broadcast::{drive_ring, BroadcastOpts};
 use crate::exec::{sort_targets, PassOpts, ANSWER_BYTES};
 use crate::policy::ExecPolicy;
 use crate::query::{Answer, Query};
 use crate::round::RoundAdaptive;
-use crate::router::RouterMode;
-use crate::sharded::{merge_answers, run_shards, split_batch, ShardOutcome};
+use crate::router::Model;
+use crate::sharded::{
+    run_shards, split_batch, PassCtx, ShardOutcome, ShardPass, TurnstileShardPass,
+};
 use sgs_graph::{Edge, VertexId};
-use sgs_stream::broadcast::{Broadcast, BroadcastConsumer, RoutedProducer, TryNext};
+use sgs_stream::broadcast::Broadcast;
 use sgs_stream::hash::{split_seed, FastRng};
-use sgs_stream::l0::{L0Mode, L0Sampler};
 use sgs_stream::reservoir::{ReservoirBank, ReservoirMode};
 use sgs_stream::sharded::{ShardUpdate, ShardedFeed};
 use sgs_stream::EdgeUpdate;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 pub use sgs_stream::broadcast::StallEvent;
 
@@ -211,11 +212,9 @@ impl<A: RoundAdaptive> QuerySet<A> {
         self.jobs.is_empty()
     }
 
-    /// Run every job to completion over shared **insertion-model**
-    /// passes on the scoped-thread sharded engine. `opts.block <= 1` is
-    /// the scalar feed path; answers are identical for any block size
-    /// and policy. `opts.reservoir` is ignored — each job's admitted
-    /// reservoir mode governs its own lanes.
+    /// [`QuerySet::run`] in the insertion model on the scoped-thread
+    /// sharded engine. Kept by name because `perfbench/src/traced.rs`
+    /// calls it.
     pub fn run_insertion(
         self,
         feed: &ShardedFeed,
@@ -223,17 +222,10 @@ impl<A: RoundAdaptive> QuerySet<A> {
         opts: PassOpts,
         policy: ExecPolicy,
     ) -> MuxOutput<A::Output> {
-        self.run_inner(
-            feed,
-            arena,
-            opts,
-            MuxModel::Insertion,
-            Engine::Sharded(policy),
-        )
+        self.run(Model::Insertion, feed, arena, opts, Engine::Sharded(policy))
     }
 
-    /// Turnstile sibling of [`QuerySet::run_insertion`]; `opts.l0`
-    /// selects the ℓ₀ bank feed path for every lane of the shared pass.
+    /// [`QuerySet::run`] in the turnstile model on the sharded engine.
     pub fn run_turnstile(
         self,
         feed: &ShardedFeed,
@@ -241,20 +233,10 @@ impl<A: RoundAdaptive> QuerySet<A> {
         opts: PassOpts,
         policy: ExecPolicy,
     ) -> MuxOutput<A::Output> {
-        self.run_inner(
-            feed,
-            arena,
-            opts,
-            MuxModel::Turnstile,
-            Engine::Sharded(policy),
-        )
+        self.run(Model::Turnstile, feed, arena, opts, Engine::Sharded(policy))
     }
 
-    /// [`QuerySet::run_insertion`] riding the broadcast ring: one
-    /// producer pushes each round's routed stream once and every shard's
-    /// shared-pass machine drains it through its own cursor. Producer
-    /// stalls land in [`AdmissionReport::stalls`]. Answers are identical
-    /// to the sharded engine's.
+    /// [`QuerySet::run`] in the insertion model riding the broadcast ring.
     pub fn run_insertion_broadcast(
         self,
         feed: &ShardedFeed,
@@ -262,10 +244,10 @@ impl<A: RoundAdaptive> QuerySet<A> {
         opts: PassOpts,
         bcast: BroadcastOpts,
     ) -> MuxOutput<A::Output> {
-        self.run_inner(feed, arena, opts, MuxModel::Insertion, Engine::Ring(bcast))
+        self.run(Model::Insertion, feed, arena, opts, Engine::Ring(bcast))
     }
 
-    /// Turnstile sibling of [`QuerySet::run_insertion_broadcast`].
+    /// [`QuerySet::run`] in the turnstile model riding the broadcast ring.
     pub fn run_turnstile_broadcast(
         self,
         feed: &ShardedFeed,
@@ -273,15 +255,21 @@ impl<A: RoundAdaptive> QuerySet<A> {
         opts: PassOpts,
         bcast: BroadcastOpts,
     ) -> MuxOutput<A::Output> {
-        self.run_inner(feed, arena, opts, MuxModel::Turnstile, Engine::Ring(bcast))
+        self.run(Model::Turnstile, feed, arena, opts, Engine::Ring(bcast))
     }
 
-    fn run_inner(
+    /// Run every job to completion over shared passes in `model` on the
+    /// chosen delivery [`Engine`]. `opts.block <= 1` is the scalar feed
+    /// path; answers are identical for any block size, policy, and
+    /// engine. `opts.reservoir` is ignored — each job's admitted
+    /// reservoir mode governs its own lanes; `opts.l0` selects the ℓ₀
+    /// bank feed path for every lane of a turnstile pass.
+    pub fn run(
         mut self,
+        model: Model,
         feed: &ShardedFeed,
         arena: &mut RouterArena,
         opts: PassOpts,
-        model: MuxModel,
         engine: Engine,
     ) -> MuxOutput<A::Output> {
         let shards = feed.num_shards();
@@ -339,14 +327,15 @@ impl<A: RoundAdaptive> QuerySet<A> {
             }
             plan.starts.push(plan.concat.len());
             round_no += 1;
-            let (answers, space) = match model {
-                MuxModel::Insertion => {
-                    mux_insertion_pass(&plan, feed, arena, opts, &engine, &mut admission.stalls)
-                }
-                MuxModel::Turnstile => {
-                    mux_turnstile_pass(&plan, feed, arena, opts, &engine, &mut admission.stalls)
-                }
-            };
+            let (answers, space) = mux_pass(
+                model,
+                &plan,
+                feed,
+                arena,
+                opts,
+                engine,
+                &mut admission.stalls,
+            );
             // Critical-path pass time via the arena's per-shard timing.
             let round_nanos = arena.slots[..shards]
                 .iter()
@@ -383,15 +372,9 @@ impl<A: RoundAdaptive> QuerySet<A> {
     }
 }
 
-/// Which transformation theorem's pass machinery a run uses.
-#[derive(Clone, Copy)]
-enum MuxModel {
-    Insertion,
-    Turnstile,
-}
-
-/// Which delivery engine drives the shared pass.
-enum Engine {
+/// Which delivery engine drives a [`QuerySet`]'s shared passes.
+#[derive(Clone, Copy, Debug)]
+pub enum Engine {
     /// Scoped-thread shard workers over the feed's private buffers.
     Sharded(ExecPolicy),
     /// One broadcast ring: a single producer, one cursor per shard.
@@ -454,12 +437,12 @@ struct MuxSegment {
 }
 
 /// One shard's shared insertion-model pass: the multiplexed counterpart
-/// of [`crate::sharded::InsertionShardPass`]. One router over the merged
+/// of the solo insertion shard pass. One router over the merged
 /// sub-batch; per-participant reservoir banks (each in its job's own
 /// mode, lanes seeded with the job's solo coins) fed through the segment
 /// table.
-struct MuxInsertionShardPass<'a> {
-    slot: &'a mut ShardSlot,
+pub(crate) struct MuxInsertionShardPass<'a> {
+    pub(crate) slot: &'a mut ShardSlot,
     targets: &'a [(u64, u32)],
     block: usize,
     /// One private bank per participant (possibly zero lanes).
@@ -532,7 +515,7 @@ impl<'a> MuxInsertionShardPass<'a> {
         plan: &RoundPlan,
         opts: PassOpts,
     ) -> Self {
-        slot.router.rebuild(&slot.sub_batch, RouterMode::Insertion);
+        slot.router.rebuild(&slot.sub_batch, Model::Insertion);
         let (lane_seeds, lane_owner, segments, group_segs) = build_lane_tables(slot, plan);
         let mut banks: Vec<ReservoirBank<Edge>> = lane_seeds
             .into_iter()
@@ -565,7 +548,7 @@ impl<'a> MuxInsertionShardPass<'a> {
 
     /// Absorb the next run of deliveries (global stream order, possibly
     /// a partial prefix — callable repeatedly).
-    fn feed(&mut self, deliveries: &[ShardUpdate]) {
+    pub(crate) fn feed(&mut self, deliveries: &[ShardUpdate]) {
         if self.block <= 1 {
             for su in deliveries {
                 debug_assert!(su.update.is_insert(), "insertion executor fed a deletion");
@@ -628,12 +611,8 @@ impl<'a> MuxInsertionShardPass<'a> {
         }
     }
 
-    fn record_pass_nanos(&mut self, nanos: u64) {
-        self.slot.pass_nanos.push(nanos);
-    }
-
     /// End of stream: fill shard-local answers and report the outcome.
-    fn finish(self) -> ShardOutcome {
+    pub(crate) fn finish(self) -> ShardOutcome {
         let MuxInsertionShardPass {
             slot,
             banks,
@@ -662,353 +641,69 @@ impl<'a> MuxInsertionShardPass<'a> {
     }
 }
 
-/// One shard's shared turnstile pass: the multiplexed counterpart of
-/// [`crate::sharded::TurnstileShardPass`]. ℓ₀-samplers are per-lane
-/// independent linear sketches, so the shared pass needs no per-job
-/// banks — one flat `f1` bank aligned with the merged `RandomEdge` slot
-/// list and one flat neighbor bank aligned with the shared router's
-/// lanes, every sampler seeded with its owner's solo coins.
-struct MuxTurnstileShardPass<'a> {
+/// One shard's shared-pass machine: the per-job reservoir-bank
+/// insertion pass, or the solo turnstile pass with every sampler seeded
+/// by its owner's coin. ℓ₀-samplers are per-lane independent linear
+/// sketches, so the shared turnstile pass needs no per-job banks — flat
+/// banks aligned with the merged slot lists merge across shards exactly
+/// like a solo sharded pass.
+fn mux_shard_pass<'a>(
+    model: Model,
     slot: &'a mut ShardSlot,
-    block: usize,
-    l0: L0Mode,
-    f1_bank: Vec<L0Sampler>,
-    nbr_samplers: Vec<L0Sampler>,
-    nbr_verts: Vec<VertexId>,
-    buf: Vec<EdgeUpdate>,
-    owned_kd: Vec<(u64, i64)>,
-}
-
-impl<'a> MuxTurnstileShardPass<'a> {
-    fn new(
-        slot: &'a mut ShardSlot,
-        num_vertices: usize,
-        f1_slots: &[u32],
-        plan: &RoundPlan,
-        opts: PassOpts,
-    ) -> Self {
-        slot.router.rebuild(&slot.sub_batch, RouterMode::Turnstile);
-        let f1_bank: Vec<L0Sampler> = f1_slots
-            .iter()
-            .map(|&gs| L0Sampler::for_edge_domain(num_vertices, plan.slot_seeds[gs as usize]))
-            .collect();
-        let nbr_samplers: Vec<L0Sampler> = slot
-            .router
-            .neighbor_slots()
-            .iter()
-            .map(|&ls| {
-                L0Sampler::for_edge_domain(
-                    num_vertices,
-                    plan.slot_seeds[slot.slot_map[ls as usize] as usize],
-                )
-            })
-            .collect();
-        let nbr_verts: Vec<VertexId> = slot.router.neighbor_vertices().collect();
-        MuxTurnstileShardPass {
+    ctx: &'a PassCtx,
+    plan: &RoundPlan,
+    opts: PassOpts,
+) -> ShardPass<'a> {
+    match model {
+        Model::Insertion => {
+            ShardPass::Mux(MuxInsertionShardPass::new(slot, &ctx.targets, plan, opts))
+        }
+        Model::Turnstile => ShardPass::Turnstile(TurnstileShardPass::new(
             slot,
-            block: opts.block,
-            l0: opts.l0,
-            f1_bank,
-            nbr_samplers,
-            nbr_verts,
-            buf: Vec::new(),
-            owned_kd: Vec::new(),
-        }
-    }
-
-    /// Absorb the next run of deliveries (callable repeatedly) — the
-    /// same delivery loop as the solo turnstile shard pass.
-    fn feed(&mut self, deliveries: &[ShardUpdate]) {
-        let l0 = self.l0;
-        if self.block <= 1 {
-            for su in deliveries {
-                let d = su.update.delta as i64;
-                if su.owned {
-                    let key = su.update.edge.key();
-                    for s in &mut self.f1_bank {
-                        s.update_with(l0, key, d);
-                    }
-                }
-                let edge = su.update.edge;
-                let samplers = &mut self.nbr_samplers;
-                let verts = &self.nbr_verts;
-                self.slot.router.feed(su.update, |s, e| {
-                    for i in s as usize..e as usize {
-                        samplers[i].update_with(l0, edge.other(verts[i]).0 as u64, d);
-                    }
-                });
-            }
-        } else {
-            let mut buf = std::mem::take(&mut self.buf);
-            let mut owned_kd = std::mem::take(&mut self.owned_kd);
-            for chunk in deliveries.chunks(self.block) {
-                buf.clear();
-                owned_kd.clear();
-                for su in chunk {
-                    if su.owned {
-                        owned_kd.push((su.update.edge.key(), su.update.delta as i64));
-                    }
-                    buf.push(su.update);
-                }
-                for s in &mut self.f1_bank {
-                    s.update_batch_with(l0, &owned_kd);
-                }
-                let samplers = &mut self.nbr_samplers;
-                let verts = &self.nbr_verts;
-                self.slot.router.feed_block(&buf, |j, s, e| {
-                    let u = buf[j];
-                    for i in s as usize..e as usize {
-                        samplers[i].update_with(
-                            l0,
-                            u.edge.other(verts[i]).0 as u64,
-                            u.delta as i64,
-                        );
-                    }
-                });
-            }
-            self.buf = buf;
-            self.owned_kd = owned_kd;
-        }
-    }
-
-    fn record_pass_nanos(&mut self, nanos: u64) {
-        self.slot.pass_nanos.push(nanos);
-    }
-
-    /// End of stream: fill shard-local answers and report the outcome.
-    fn finish(self) -> ShardOutcome {
-        let MuxTurnstileShardPass {
-            slot,
-            f1_bank,
-            nbr_samplers,
-            ..
-        } = self;
-        let space_bytes = slot.router.space_bytes()
-            + f1_bank
-                .iter()
-                .chain(&nbr_samplers)
-                .map(sgs_stream::SpaceUsage::space_bytes)
-                .sum::<usize>();
-        slot.answers.clear();
-        slot.answers
-            .resize(slot.sub_batch.len(), Answer::Edge(None));
-        for (&ls, s) in slot.router.neighbor_slots().iter().zip(&nbr_samplers) {
-            slot.answers[ls as usize] = Answer::Neighbor(s.sample().map(|k| VertexId(k as u32)));
-        }
-        slot.router.distribute(&mut slot.answers);
-        ShardOutcome {
-            edge_hits: Vec::new(),
-            f1_bank,
-            space_bytes,
-        }
+            ctx,
+            |gs| plan.slot_seeds[gs as usize],
+            opts,
+        )),
     }
 }
 
-/// One shared insertion pass over the whole merged batch: split, draw
-/// merged targets, run every shard's mux machine on the chosen engine,
-/// merge back.
-fn mux_insertion_pass(
+/// One shared pass over the whole merged batch: split, draw every
+/// participant's `f1` targets (insertion), run every shard's machine on
+/// the chosen engine, merge back. On the ring the producer runs with a
+/// stall threshold; recorded stalls are appended to `stalls` so the
+/// admission report can name the consumer a slow round was blocked on.
+fn mux_pass(
+    model: Model,
     plan: &RoundPlan,
     feed: &ShardedFeed,
     arena: &mut RouterArena,
     opts: PassOpts,
-    engine: &Engine,
+    engine: Engine,
     stalls: &mut Vec<StallEvent>,
 ) -> (Vec<Answer>, usize) {
     let shards = feed.num_shards();
-    split_batch(&plan.concat, RouterMode::Insertion, feed.shard_map(), arena);
-    let mut targets = std::mem::take(&mut arena.scratch_targets);
-    draw_mux_targets(plan, feed.stream_len() as u64, &mut targets);
+    split_batch(&plan.concat, model, feed.shard_map(), arena);
+    let mut ctx = PassCtx::take(arena, feed);
+    if model == Model::Insertion {
+        draw_mux_targets(plan, feed.stream_len() as u64, &mut ctx.targets);
+    }
+    let slots = &mut arena.slots[..shards];
     let outcomes = match engine {
-        Engine::Sharded(policy) => {
-            feed.begin_pass();
-            run_shards(&mut arena.slots[..shards], *policy, |i, slot| {
-                let t0 = Instant::now();
-                let mut pass = MuxInsertionShardPass::new(&mut *slot, &targets, plan, opts);
-                pass.feed(feed.shard(i));
-                let out = pass.finish();
-                slot.pass_nanos.push(t0.elapsed().as_nanos() as u64);
-                out
-            })
-        }
+        Engine::Sharded(policy) => run_shards(feed, slots, policy, |slot| {
+            mux_shard_pass(model, slot, &ctx, plan, opts)
+        }),
         Engine::Ring(bcast) => {
-            let passes: Vec<MuxInsertionShardPass<'_>> = arena.slots[..shards]
+            let passes = slots
                 .iter_mut()
-                .map(|slot| MuxInsertionShardPass::new(slot, &targets, plan, opts))
+                .map(|slot| mux_shard_pass(model, slot, &ctx, plan, opts))
                 .collect();
-            drive_mux_ring(feed, passes, *bcast, stalls)
+            let ring = Broadcast::with_stall_threshold(bcast.ring_capacity, MUX_STALL_THRESHOLD);
+            let outcomes = drive_ring(feed, &ring, passes, bcast, &mut []);
+            stalls.extend(ring.stall_events());
+            outcomes
         }
     };
-    let space = outcomes.iter().map(|o| o.space_bytes).sum::<usize>() + targets.len() * 16;
-    arena.scratch_targets = targets;
-    let answers = merge_answers(plan.concat.len(), feed, arena, shards, &outcomes);
-    (answers, space)
-}
-
-/// Turnstile sibling of [`mux_insertion_pass`]: per-shard `f1` banks fed
-/// owned deliveries, merged linearly across shards — solo sharded
-/// semantics over the merged slot list.
-fn mux_turnstile_pass(
-    plan: &RoundPlan,
-    feed: &ShardedFeed,
-    arena: &mut RouterArena,
-    opts: PassOpts,
-    engine: &Engine,
-    stalls: &mut Vec<StallEvent>,
-) -> (Vec<Answer>, usize) {
-    let shards = feed.num_shards();
-    split_batch(&plan.concat, RouterMode::Turnstile, feed.shard_map(), arena);
-    let f1_slots = std::mem::take(&mut arena.scratch_edge);
-    let n = feed.num_vertices();
-    let mut outcomes = match engine {
-        Engine::Sharded(policy) => {
-            feed.begin_pass();
-            run_shards(&mut arena.slots[..shards], *policy, |i, slot| {
-                let t0 = Instant::now();
-                let mut pass = MuxTurnstileShardPass::new(&mut *slot, n, &f1_slots, plan, opts);
-                pass.feed(feed.shard(i));
-                let out = pass.finish();
-                slot.pass_nanos.push(t0.elapsed().as_nanos() as u64);
-                out
-            })
-        }
-        Engine::Ring(bcast) => {
-            let passes: Vec<MuxTurnstileShardPass<'_>> = arena.slots[..shards]
-                .iter_mut()
-                .map(|slot| MuxTurnstileShardPass::new(slot, n, &f1_slots, plan, opts))
-                .collect();
-            drive_mux_ring(feed, passes, *bcast, stalls)
-        }
-    };
-    let space = outcomes.iter().map(|o| o.space_bytes).sum::<usize>();
-    let (head, rest) = outcomes.split_at_mut(1);
-    for o in rest.iter() {
-        for (a, b) in head[0].f1_bank.iter_mut().zip(&o.f1_bank) {
-            a.merge(b);
-        }
-    }
-    let mut answers = merge_answers(plan.concat.len(), feed, arena, shards, &outcomes);
-    for (&slot, s) in f1_slots.iter().zip(&outcomes[0].f1_bank) {
-        answers[slot as usize] = Answer::Edge(s.sample().map(Edge::from_key));
-    }
-    arena.scratch_edge = f1_slots;
-    (answers, space)
-}
-
-/// The shard-pass surface the mux ring driver needs (the multiplexed
-/// counterpart of the broadcast module's private RingPass).
-trait MuxRingPass: Send {
-    fn feed(&mut self, deliveries: &[ShardUpdate]);
-    fn record_pass_nanos(&mut self, nanos: u64);
-    fn finish(self) -> ShardOutcome
-    where
-        Self: Sized;
-}
-
-impl MuxRingPass for MuxInsertionShardPass<'_> {
-    fn feed(&mut self, deliveries: &[ShardUpdate]) {
-        MuxInsertionShardPass::feed(self, deliveries);
-    }
-    fn record_pass_nanos(&mut self, nanos: u64) {
-        MuxInsertionShardPass::record_pass_nanos(self, nanos);
-    }
-    fn finish(self) -> ShardOutcome {
-        MuxInsertionShardPass::finish(self)
-    }
-}
-
-impl MuxRingPass for MuxTurnstileShardPass<'_> {
-    fn feed(&mut self, deliveries: &[ShardUpdate]) {
-        MuxTurnstileShardPass::feed(self, deliveries);
-    }
-    fn record_pass_nanos(&mut self, nanos: u64) {
-        MuxTurnstileShardPass::record_pass_nanos(self, nanos);
-    }
-    fn finish(self) -> ShardOutcome {
-        MuxTurnstileShardPass::finish(self)
-    }
-}
-
-/// Drive one shared pass over the broadcast ring: one producer, one
-/// cursor per shard machine — threaded (blocking API, scoped threads)
-/// when the policy says so, else a deterministic cooperative round-robin
-/// on this thread. Identical answers either way. The ring is built with
-/// a stall threshold; recorded producer stalls are appended to `stalls`
-/// so the admission report can name the consumer a slow round was
-/// blocked on.
-fn drive_mux_ring<P: MuxRingPass>(
-    feed: &ShardedFeed,
-    passes: Vec<P>,
-    bcast: BroadcastOpts,
-    stalls: &mut Vec<StallEvent>,
-) -> Vec<ShardOutcome> {
-    let shards = passes.len();
-    let ring = Broadcast::with_stall_threshold(bcast.ring_capacity, MUX_STALL_THRESHOLD);
-    let shard_consumers: Vec<BroadcastConsumer> = (0..shards).map(|_| ring.subscribe()).collect();
-    let producer = RoutedProducer::new(feed, bcast.ring_block);
-    let outcomes = if bcast.policy.use_threads(shards.max(2)) {
-        let ring_ref = &ring;
-        std::thread::scope(|scope| {
-            scope.spawn(move || producer.run(ring_ref));
-            let handles: Vec<_> = passes
-                .into_iter()
-                .zip(shard_consumers)
-                .enumerate()
-                .map(|(sid, (mut pass, consumer))| {
-                    scope.spawn(move || {
-                        let t0 = Instant::now();
-                        let mut scratch: Vec<ShardUpdate> = Vec::new();
-                        for block in consumer {
-                            crate::broadcast::filter_block(&block, sid, &mut scratch);
-                            pass.feed(&scratch);
-                        }
-                        pass.record_pass_nanos(t0.elapsed().as_nanos() as u64);
-                        pass.finish()
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        })
-    } else {
-        let mut producer = producer;
-        let mut workers: Vec<(P, BroadcastConsumer, bool, u64)> = passes
-            .into_iter()
-            .zip(shard_consumers)
-            .map(|(p, c)| (p, c, false, 0u64))
-            .collect();
-        let mut scratch: Vec<ShardUpdate> = Vec::new();
-        loop {
-            let produced = producer.pump(&ring);
-            let mut all_ended = true;
-            for (sid, (pass, c, ended, nanos)) in workers.iter_mut().enumerate() {
-                let t0 = Instant::now();
-                while !*ended {
-                    match c.try_next() {
-                        TryNext::Block(b) => {
-                            crate::broadcast::filter_block(&b, sid, &mut scratch);
-                            pass.feed(&scratch);
-                        }
-                        TryNext::Pending => break,
-                        TryNext::Ended => *ended = true,
-                    }
-                }
-                *nanos += t0.elapsed().as_nanos() as u64;
-                all_ended &= *ended;
-            }
-            if produced && all_ended {
-                break;
-            }
-        }
-        workers
-            .into_iter()
-            .map(|(mut p, _, _, nanos)| {
-                p.record_pass_nanos(nanos);
-                p.finish()
-            })
-            .collect()
-    };
-    stalls.extend(ring.stall_events());
-    outcomes
+    ctx.finish(model, plan.concat.len(), feed, arena, outcomes)
 }
 
 #[cfg(test)]

@@ -149,7 +149,7 @@ impl RefInsertionPass {
 
 /// Answer one round's batch with one insertion-only pass, pre-refactor
 /// architecture (the baseline counterpart of
-/// [`crate::exec::answer_insertion_batch`]).
+/// [`crate::exec::answer_batch`] in the insertion model).
 pub fn answer_insertion_batch_reference(
     batch: &[Query],
     stream: &impl EdgeStream,

@@ -36,13 +36,34 @@ use sgs_stream::flat::{FlatIndex, ABSENT};
 use sgs_stream::persist::{Decoder, Encoder, PersistResult};
 use sgs_stream::EdgeUpdate;
 
-/// Which streaming model the batch is routed for.
+/// The stream model a run is in: which transformation theorem answers
+/// each round's batch with one pass. Every executor takes it as a value.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum RouterMode {
+pub enum Model {
     /// Insertion-only pass (Theorem 9): indexed `f3` allowed.
     Insertion,
     /// Turnstile pass (Theorem 11): indexed `f3` is a protocol error.
     Turnstile,
+}
+
+impl Model {
+    /// The model's on-disk tag byte (checkpoint snapshots, pass states,
+    /// `sgs count --checkpoint-dir` configs): 0 = insertion, 1 = turnstile.
+    pub fn tag(self) -> u8 {
+        match self {
+            Model::Insertion => 0,
+            Model::Turnstile => 1,
+        }
+    }
+
+    /// Inverse of [`Model::tag`]; `None` for an unknown byte.
+    pub fn from_tag(tag: u8) -> Option<Model> {
+        match tag {
+            0 => Some(Model::Insertion),
+            1 => Some(Model::Turnstile),
+            _ => None,
+        }
+    }
 }
 
 /// Per-vertex-group hot state: everything the feed path needs after one
@@ -149,7 +170,7 @@ impl QueryRouter {
     }
 
     /// Ingest a batch and build the routing indexes.
-    pub fn build(batch: &[Query], mode: RouterMode) -> Self {
+    pub fn build(batch: &[Query], mode: Model) -> Self {
         let mut r = Self::empty();
         r.rebuild(batch, mode);
         r
@@ -160,7 +181,7 @@ impl QueryRouter {
     /// cost"). After one warm-up round per batch shape, rebuilding
     /// touches no heap — [`crate::arena::RouterArena`] counts growth
     /// events to prove it.
-    pub fn rebuild(&mut self, batch: &[Query], mode: RouterMode) {
+    pub fn rebuild(&mut self, batch: &[Query], mode: Model) {
         // Counting prescan: exact capacities, no re-growth while
         // classifying tens of thousands of merged queries.
         let (mut n_count, mut n_edge, mut n_deg, mut n_nbr, mut n_watch, mut n_flag) =
@@ -233,7 +254,7 @@ impl QueryRouter {
                     nbr_grouped.push((g, slot));
                 }
                 Query::IthNeighbor(v, idx) => {
-                    if mode == RouterMode::Turnstile {
+                    if mode == Model::Turnstile {
                         panic!(
                             "IthNeighbor is not available in the turnstile model \
                              (Definition 10 replaces it with RandomNeighbor)"
@@ -649,7 +670,7 @@ mod tests {
             Query::RandomNeighbor(v(2)),
             Query::RandomEdge,
         ];
-        let mut r = QueryRouter::build(&batch, RouterMode::Insertion);
+        let mut r = QueryRouter::build(&batch, Model::Insertion);
         assert_eq!(r.edge_slots(), &[8]);
         assert_eq!(r.neighbor_slots(), &[7]);
         let nbr_verts: Vec<VertexId> = r.neighbor_vertices().collect();
@@ -695,7 +716,7 @@ mod tests {
     #[test]
     fn deletions_clear_flags_and_degrees() {
         let batch = vec![Query::Degree(v(0)), Query::Adjacent(v(0), v(1))];
-        let mut r = QueryRouter::build(&batch, RouterMode::Turnstile);
+        let mut r = QueryRouter::build(&batch, Model::Turnstile);
         let e = Edge::from((0, 1));
         r.feed(EdgeUpdate::insert(e), |_, _| {});
         r.feed(EdgeUpdate::delete(e), |_, _| {});
@@ -708,7 +729,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "IthNeighbor is not available")]
     fn turnstile_mode_rejects_indexed_neighbors() {
-        let _ = QueryRouter::build(&[Query::IthNeighbor(v(0), 1)], RouterMode::Turnstile);
+        let _ = QueryRouter::build(&[Query::IthNeighbor(v(0), 1)], Model::Turnstile);
     }
 
     #[test]
@@ -718,7 +739,7 @@ mod tests {
             Query::IthNeighbor(v(0), 2),
             Query::IthNeighbor(v(0), 9),
         ];
-        let mut r = QueryRouter::build(&batch, RouterMode::Insertion);
+        let mut r = QueryRouter::build(&batch, Model::Insertion);
         r.feed(EdgeUpdate::insert(Edge::from((0, 5))), |_, _| {});
         r.feed(EdgeUpdate::insert(Edge::from((0, 6))), |_, _| {});
         let mut answers = vec![Answer::Edge(None); 3];
@@ -743,20 +764,20 @@ mod tests {
             .collect();
         let small = vec![Query::EdgeCount, Query::Degree(v(3))];
         // Warm-up cycle: one rebuild per shape the run will see.
-        let mut pooled = QueryRouter::build(&big, RouterMode::Insertion);
-        pooled.rebuild(&small, RouterMode::Insertion);
+        let mut pooled = QueryRouter::build(&big, Model::Insertion);
+        pooled.rebuild(&small, Model::Insertion);
         let warm = pooled.heap_bytes();
         // Every later round over known shapes is allocation-stable.
         for _ in 0..3 {
-            pooled.rebuild(&big, RouterMode::Insertion);
+            pooled.rebuild(&big, Model::Insertion);
             assert_eq!(pooled.heap_bytes(), warm, "big rebuild reallocated");
-            pooled.rebuild(&small, RouterMode::Insertion);
+            pooled.rebuild(&small, Model::Insertion);
             assert_eq!(pooled.heap_bytes(), warm, "small rebuild reallocated");
         }
-        pooled.rebuild(&big, RouterMode::Insertion);
+        pooled.rebuild(&big, Model::Insertion);
 
         // The rebuilt router must behave exactly like a fresh build.
-        let mut fresh = QueryRouter::build(&big, RouterMode::Insertion);
+        let mut fresh = QueryRouter::build(&big, Model::Insertion);
         let updates = [
             EdgeUpdate::insert(Edge::from((3, 14))),
             EdgeUpdate::insert(Edge::from((14, 23))),
@@ -804,7 +825,7 @@ mod tests {
                 }
             })
             .collect();
-        let mut scalar = QueryRouter::build(&batch, RouterMode::Insertion);
+        let mut scalar = QueryRouter::build(&batch, Model::Insertion);
         let mut scalar_hits = Vec::new();
         for (j, &u) in updates.iter().enumerate() {
             scalar.feed(u, |s, e| scalar_hits.extend((s..e).map(|i| (j, i))));
@@ -813,7 +834,7 @@ mod tests {
         scalar.distribute(&mut scalar_answers);
 
         for block in [1usize, 2, 7, 16, 64, 97, 200] {
-            let mut blocked = QueryRouter::build(&batch, RouterMode::Insertion);
+            let mut blocked = QueryRouter::build(&batch, Model::Insertion);
             let mut blocked_hits = Vec::new();
             for (c, chunk) in updates.chunks(block).enumerate() {
                 blocked.feed_block(chunk, |j, s, e| {
@@ -830,9 +851,9 @@ mod tests {
 
     #[test]
     fn space_reported_scales_with_batch() {
-        let small = QueryRouter::build(&[Query::EdgeCount], RouterMode::Insertion);
+        let small = QueryRouter::build(&[Query::EdgeCount], Model::Insertion);
         let big_batch: Vec<Query> = (0..100).map(|i| Query::Degree(v(i))).collect();
-        let big = QueryRouter::build(&big_batch, RouterMode::Insertion);
+        let big = QueryRouter::build(&big_batch, Model::Insertion);
         assert!(big.space_bytes() > small.space_bytes());
     }
 }

@@ -9,7 +9,7 @@
 //! shard for the lifetime of a run:
 //!
 //! * **Workers own their slot.** Each worker thread owns a
-//!   [`ShardSlot`] — router, sub-batch, scratch — so every rebuild and
+//!   shard slot — router, sub-batch, scratch — so every rebuild and
 //!   feed of a shard's state happens on the same thread (and, when
 //!   [`ExecPolicy::pin`] is set, the same core) for arena/allocation
 //!   affinity. The driver's [`RouterArena`] keeps only the split/merge
@@ -24,27 +24,25 @@
 //!   non-`'static` side sinks, which cannot cross into the persistent
 //!   workers — cooperatively through the try-APIs, so it never blocks
 //!   while a sink still needs draining.
-//! * **Byte-identical answers.** The workers run the *same*
-//!   [`InsertionShardPass`]/[`TurnstileShardPass`] state machines over
+//! * **Byte-identical answers.** The workers run the *same* shard pass
+//!   state machines over
 //!   the same per-shard delivery sequences with the same global-slot
 //!   seeds; scheduling (and pinning) decides where the work runs, never
 //!   what it computes. `tests/broadcast_equivalence.rs` pins the
 //!   persistent path against the single-stream executors.
 //!
-//! [`crate::broadcast::run_insertion_broadcast_with_opts`] and its
-//! turnstile sibling construct one runtime per run whenever the
-//! injected policy threads, so round-adaptive algorithms reuse the same
-//! workers across all their rounds.
+//! [`crate::broadcast::run_broadcast`] constructs one runtime per run
+//! whenever the injected policy threads and the caller brings none, so
+//! round-adaptive algorithms reuse the same workers across all their
+//! rounds.
 
 use crate::arena::{RouterArena, ShardSlot};
 use crate::broadcast::{filter_block, BroadcastOpts, SideSink};
 use crate::exec::PassOpts;
 use crate::policy::{host_cores, pin_current_thread, ExecPolicy};
 use crate::query::{Answer, Query};
-use crate::router::RouterMode;
-use crate::sharded::{
-    draw_targets, merge_answers, split_batch, InsertionShardPass, ShardOutcome, TurnstileShardPass,
-};
+use crate::router::Model;
+use crate::sharded::{PassCtx, ShardOutcome, ShardPass};
 use sgs_stream::broadcast::{Broadcast, BroadcastConsumer, RoutedProducer, TryNext};
 use sgs_stream::sharded::{ShardUpdate, ShardedFeed};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -55,24 +53,14 @@ use std::time::Instant;
 /// One pass's worth of work for a worker: the ring cursor to drain plus
 /// the pass parameters. Buffers arrive by value and return in the
 /// [`Reply`] (ping-pong reuse).
-enum Task {
-    Insertion {
-        consumer: BroadcastConsumer,
-        sub_batch: Vec<Query>,
-        slot_map: Vec<u32>,
-        targets: Arc<[(u64, u32)]>,
-        pass_seed: u64,
-        opts: PassOpts,
-    },
-    Turnstile {
-        consumer: BroadcastConsumer,
-        sub_batch: Vec<Query>,
-        slot_map: Vec<u32>,
-        f1_slots: Arc<[u32]>,
-        num_vertices: usize,
-        pass_seed: u64,
-        opts: PassOpts,
-    },
+struct Task {
+    model: Model,
+    consumer: BroadcastConsumer,
+    sub_batch: Vec<Query>,
+    slot_map: Vec<u32>,
+    ctx: Arc<PassCtx>,
+    pass_seed: u64,
+    opts: PassOpts,
 }
 
 /// A worker's pass result: the outcome for the merge step, the answer
@@ -97,59 +85,24 @@ fn worker_loop(sid: usize, pin_core: Option<usize>, tasks: Receiver<Task>, repli
     let mut slot = ShardSlot::default();
     let mut scratch: Vec<ShardUpdate> = Vec::new();
     while let Ok(task) = tasks.recv() {
-        let reply = match task {
-            Task::Insertion {
-                consumer,
-                sub_batch,
-                slot_map,
-                targets,
-                pass_seed,
-                opts,
-            } => {
-                slot.sub_batch = sub_batch;
-                slot.slot_map = slot_map;
-                let t0 = Instant::now();
-                let mut pass = InsertionShardPass::new(&mut slot, &targets, pass_seed, opts);
-                for block in consumer {
-                    filter_block(&block, sid, &mut scratch);
-                    pass.feed(&scratch);
-                }
-                let outcome = pass.finish();
-                Reply {
-                    outcome,
-                    answers: std::mem::take(&mut slot.answers),
-                    sub_batch: std::mem::take(&mut slot.sub_batch),
-                    slot_map: std::mem::take(&mut slot.slot_map),
-                    nanos: t0.elapsed().as_nanos() as u64,
-                }
-            }
-            Task::Turnstile {
-                consumer,
-                sub_batch,
-                slot_map,
-                f1_slots,
-                num_vertices,
-                pass_seed,
-                opts,
-            } => {
-                slot.sub_batch = sub_batch;
-                slot.slot_map = slot_map;
-                let t0 = Instant::now();
-                let mut pass =
-                    TurnstileShardPass::new(&mut slot, num_vertices, &f1_slots, pass_seed, opts);
-                for b in consumer {
-                    filter_block(&b, sid, &mut scratch);
-                    pass.feed(&scratch);
-                }
-                let outcome = pass.finish();
-                Reply {
-                    outcome,
-                    answers: std::mem::take(&mut slot.answers),
-                    sub_batch: std::mem::take(&mut slot.sub_batch),
-                    slot_map: std::mem::take(&mut slot.slot_map),
-                    nanos: t0.elapsed().as_nanos() as u64,
-                }
-            }
+        slot.sub_batch = task.sub_batch;
+        slot.slot_map = task.slot_map;
+        let t0 = Instant::now();
+        let mut pass = ShardPass::new(task.model, &mut slot, &task.ctx, task.pass_seed, task.opts);
+        for block in task.consumer {
+            filter_block(&block, sid, &mut scratch);
+            pass.feed(&scratch);
+        }
+        let outcome = pass.finish();
+        // Release the shared context before replying, so the driver gets
+        // its pooled buffers back.
+        drop(task.ctx);
+        let reply = Reply {
+            outcome,
+            answers: std::mem::take(&mut slot.answers),
+            sub_batch: std::mem::take(&mut slot.sub_batch),
+            slot_map: std::mem::take(&mut slot.slot_map),
+            nanos: t0.elapsed().as_nanos() as u64,
         };
         if replies.send(reply).is_err() {
             break;
@@ -255,7 +208,7 @@ impl ShardRuntime {
 
     /// Collect the pass replies in shard order, re-installing the
     /// ping-pong buffers (and the pass telemetry) into the arena so the
-    /// shared [`merge_answers`] path works unchanged.
+    /// shared pass epilogue works unchanged.
     fn collect(&self, arena: &mut RouterArena) -> Vec<ShardOutcome> {
         let mut outcomes = Vec::with_capacity(self.shards);
         for (sid, rx) in self.replies.iter().enumerate() {
@@ -272,14 +225,14 @@ impl ShardRuntime {
         outcomes
     }
 
-    /// One insertion-model broadcast pass over the persistent workers —
-    /// byte-identical to
-    /// [`crate::broadcast::answer_insertion_batch_broadcast_with_opts`]
+    /// One broadcast pass in `model` over the persistent workers —
+    /// byte-identical to [`crate::broadcast::answer_batch_broadcast`]
     /// (and therefore to the single-stream executors) for every shard
     /// count, ring geometry, and placement.
     #[allow(clippy::too_many_arguments)]
-    pub fn insertion_pass(
+    pub fn pass(
         &mut self,
+        model: Model,
         batch: &[Query],
         feed: &ShardedFeed,
         pass_seed: u64,
@@ -293,24 +246,21 @@ impl ShardRuntime {
             self.shards,
             "runtime sized for a different shard count"
         );
-        let shards = self.shards;
-        split_batch(batch, RouterMode::Insertion, feed.shard_map(), arena);
-        let mut targets = std::mem::take(&mut arena.scratch_targets);
-        draw_targets(batch, feed.stream_len() as u64, pass_seed, &mut targets);
-        let shared_targets: Arc<[(u64, u32)]> = targets.as_slice().into();
+        let ctx = Arc::new(PassCtx::begin(model, batch, feed, pass_seed, arena));
         let ring = Broadcast::new(bcast.ring_capacity);
         let shard_consumers: Vec<BroadcastConsumer> =
-            (0..shards).map(|_| ring.subscribe()).collect();
+            (0..self.shards).map(|_| ring.subscribe()).collect();
         let side_consumers: Vec<BroadcastConsumer> =
             side.iter().map(|_| ring.subscribe()).collect();
         for (sid, consumer) in shard_consumers.into_iter().enumerate() {
             let slot = &mut arena.slots[sid];
             self.tasks[sid]
-                .send(Task::Insertion {
+                .send(Task {
+                    model,
                     consumer,
                     sub_batch: std::mem::take(&mut slot.sub_batch),
                     slot_map: std::mem::take(&mut slot.slot_map),
-                    targets: shared_targets.clone(),
+                    ctx: Arc::clone(&ctx),
                     pass_seed,
                     opts,
                 })
@@ -318,71 +268,10 @@ impl ShardRuntime {
         }
         self.drive(feed, &ring, bcast.ring_block, side, side_consumers);
         let outcomes = self.collect(arena);
-        let space = outcomes.iter().map(|o| o.space_bytes).sum::<usize>() + targets.len() * 16;
-        arena.scratch_targets = targets;
-        let answers = merge_answers(batch.len(), feed, arena, shards, &outcomes);
-        (answers, space)
-    }
-
-    /// One turnstile-model broadcast pass over the persistent workers —
-    /// byte-identical to
-    /// [`crate::broadcast::answer_turnstile_batch_broadcast_with_opts`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn turnstile_pass(
-        &mut self,
-        batch: &[Query],
-        feed: &ShardedFeed,
-        pass_seed: u64,
-        arena: &mut RouterArena,
-        opts: PassOpts,
-        bcast: BroadcastOpts,
-        side: &mut [SideSink<'_>],
-    ) -> (Vec<Answer>, usize) {
-        assert_eq!(
-            feed.num_shards(),
-            self.shards,
-            "runtime sized for a different shard count"
-        );
-        let shards = self.shards;
-        split_batch(batch, RouterMode::Turnstile, feed.shard_map(), arena);
-        let f1_slots = std::mem::take(&mut arena.scratch_edge);
-        let shared_f1: Arc<[u32]> = f1_slots.as_slice().into();
-        let ring = Broadcast::new(bcast.ring_capacity);
-        let shard_consumers: Vec<BroadcastConsumer> =
-            (0..shards).map(|_| ring.subscribe()).collect();
-        let side_consumers: Vec<BroadcastConsumer> =
-            side.iter().map(|_| ring.subscribe()).collect();
-        for (sid, consumer) in shard_consumers.into_iter().enumerate() {
-            let slot = &mut arena.slots[sid];
-            self.tasks[sid]
-                .send(Task::Turnstile {
-                    consumer,
-                    sub_batch: std::mem::take(&mut slot.sub_batch),
-                    slot_map: std::mem::take(&mut slot.slot_map),
-                    f1_slots: shared_f1.clone(),
-                    num_vertices: feed.num_vertices(),
-                    pass_seed,
-                    opts,
-                })
-                .expect("shard worker gone");
-        }
-        self.drive(feed, &ring, bcast.ring_block, side, side_consumers);
-        let mut outcomes = self.collect(arena);
-        let space = outcomes.iter().map(|o| o.space_bytes).sum::<usize>();
-        // Merge the per-shard f1 banks into shard 0's (linear sketches):
-        // the result is the exact single-stream sketch state.
-        let (head, rest) = outcomes.split_at_mut(1);
-        for o in rest.iter() {
-            for (a, b) in head[0].f1_bank.iter_mut().zip(&o.f1_bank) {
-                a.merge(b);
-            }
-        }
-        let mut answers = merge_answers(batch.len(), feed, arena, shards, &outcomes);
-        for (&slot, s) in f1_slots.iter().zip(&outcomes[0].f1_bank) {
-            answers[slot as usize] = Answer::Edge(s.sample().map(sgs_graph::Edge::from_key));
-        }
-        arena.scratch_edge = f1_slots;
-        (answers, space)
+        let Ok(ctx) = Arc::try_unwrap(ctx) else {
+            unreachable!("every worker releases the pass context before it replies");
+        };
+        ctx.finish(model, batch.len(), feed, arena, outcomes)
     }
 }
 
@@ -399,7 +288,7 @@ impl Drop for ShardRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{answer_insertion_batch, answer_turnstile_batch};
+    use crate::exec::answer_batch;
     use sgs_graph::{gen, VertexId};
     use sgs_stream::sharded::RoutedUpdate;
     use sgs_stream::{InsertionStream, TurnstileStream};
@@ -427,8 +316,15 @@ mod tests {
             // One runtime reused across every seed: the whole point.
             let mut rt = ShardRuntime::new(shards, ExecPolicy::threaded());
             for pass_seed in 0..8u64 {
-                let (a, _) = answer_insertion_batch(&batch, &ins, pass_seed);
-                let (b, _) = rt.insertion_pass(
+                let (a, _) = answer_batch(
+                    Model::Insertion,
+                    &batch,
+                    &ins,
+                    pass_seed,
+                    PassOpts::default(),
+                );
+                let (b, _) = rt.pass(
+                    Model::Insertion,
                     &batch,
                     &feed,
                     pass_seed,
@@ -453,8 +349,15 @@ mod tests {
             let mut arena = RouterArena::new();
             let mut rt = ShardRuntime::new(shards, ExecPolicy::threaded());
             for pass_seed in 0..5u64 {
-                let (a, _) = answer_turnstile_batch(&batch, &tst, pass_seed);
-                let (b, _) = rt.turnstile_pass(
+                let (a, _) = answer_batch(
+                    Model::Turnstile,
+                    &batch,
+                    &tst,
+                    pass_seed,
+                    PassOpts::default(),
+                );
+                let (b, _) = rt.pass(
+                    Model::Turnstile,
                     &batch,
                     &feed,
                     pass_seed,
@@ -474,11 +377,12 @@ mod tests {
         let ins = InsertionStream::from_graph(&g, 222);
         let batch = mixed_insertion_batch();
         let feed = ShardedFeed::partition(&ins, 3);
-        let (expected, _) = answer_insertion_batch(&batch, &ins, 9);
+        let (expected, _) = answer_batch(Model::Insertion, &batch, &ins, 9, PassOpts::default());
         for policy in [ExecPolicy::threaded(), ExecPolicy::threaded().with_pin()] {
             let mut arena = RouterArena::new();
             let mut rt = ShardRuntime::new(3, policy);
-            let (got, _) = rt.insertion_pass(
+            let (got, _) = rt.pass(
+                Model::Insertion,
                 &batch,
                 &feed,
                 9,
@@ -498,7 +402,7 @@ mod tests {
         let batch = mixed_insertion_batch();
         let feed = ShardedFeed::partition(&ins, 2);
         let mut arena = RouterArena::new();
-        let (expected, _) = answer_insertion_batch(&batch, &ins, 11);
+        let (expected, _) = answer_batch(Model::Insertion, &batch, &ins, 11, PassOpts::default());
         let mut rt = ShardRuntime::new(2, ExecPolicy::threaded());
         let mut seen: Vec<RoutedUpdate> = Vec::new();
         let mut count = 0u64;
@@ -507,7 +411,8 @@ mod tests {
                 Box::new(|b: &[RoutedUpdate]| seen.extend_from_slice(b)),
                 Box::new(|b: &[RoutedUpdate]| count += b.len() as u64),
             ];
-            let (got, _) = rt.insertion_pass(
+            let (got, _) = rt.pass(
+                Model::Insertion,
                 &batch,
                 &feed,
                 11,
@@ -531,7 +436,8 @@ mod tests {
         let mut rt = ShardRuntime::new(2, ExecPolicy::threaded());
         let batch = mixed_insertion_batch();
         for pass_seed in 0..3u64 {
-            let _ = rt.insertion_pass(
+            let _ = rt.pass(
+                Model::Insertion,
                 &batch,
                 &feed,
                 pass_seed,

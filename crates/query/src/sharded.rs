@@ -45,10 +45,11 @@
 use crate::accounting::ExecReport;
 use crate::arena::{RouterArena, ShardSlot};
 use crate::exec::{sort_targets, PassOpts, ANSWER_BYTES};
+use crate::multiplex::MuxInsertionShardPass;
 use crate::policy::ExecPolicy;
 use crate::query::{Answer, Query};
 use crate::round::RoundAdaptive;
-use crate::router::RouterMode;
+use crate::router::Model;
 use sgs_graph::{Edge, VertexId};
 use sgs_stream::hash::{split_seed, FastRng};
 use sgs_stream::l0::L0Sampler;
@@ -76,12 +77,7 @@ pub(crate) struct ShardOutcome {
 /// goes through the feed's [`ShardMap`] — the same placement (uniform
 /// hash plus any load-balancing overrides) the delivery buffers were
 /// built with, which is exactly why placement never changes answers.
-pub(crate) fn split_batch(
-    batch: &[Query],
-    mode: RouterMode,
-    map: &ShardMap,
-    arena: &mut RouterArena,
-) {
+pub(crate) fn split_batch(batch: &[Query], model: Model, map: &ShardMap, arena: &mut RouterArena) {
     let shards = map.num_shards();
     arena.ensure_shards(shards);
     for slot in &mut arena.slots[..shards] {
@@ -102,7 +98,7 @@ pub(crate) fn split_batch(
             }
             Query::Degree(v) | Query::RandomNeighbor(v) => map.shard_of(v.0),
             Query::IthNeighbor(v, _) => {
-                if mode == RouterMode::Turnstile {
+                if model == Model::Turnstile {
                     panic!(
                         "IthNeighbor is not available in the turnstile model \
                          (Definition 10 replaces it with RandomNeighbor)"
@@ -120,26 +116,93 @@ pub(crate) fn split_batch(
     }
 }
 
-/// Draw the pass's `f1` position targets centrally, in batch order — the
-/// exact coin sequence a single-stream pass consumes — then sort by
-/// position for cursor matching.
-pub(crate) fn draw_targets(
-    batch: &[Query],
-    stream_len: u64,
-    pass_seed: u64,
-    targets: &mut Vec<(u64, u32)>,
-) {
-    targets.clear();
-    if stream_len == 0 {
-        return;
-    }
-    let mut rng = FastRng::seed_from_u64(pass_seed);
-    for (i, q) in batch.iter().enumerate() {
-        if matches!(q, Query::RandomEdge) {
-            targets.push((rng.gen_range(0..stream_len), i as u32));
+/// What every shard pass of one round shares: the driver-side `f1`
+/// plan. Built by the pass prologue ([`PassCtx::begin`]) from the
+/// arena's pooled scratch, consumed by the epilogue ([`PassCtx::finish`]),
+/// which hands the buffers back.
+pub(crate) struct PassCtx {
+    pub(crate) num_vertices: usize,
+    /// Insertion: the round's `f1` position targets `(position, global
+    /// slot)`, sorted by position. Empty in the turnstile model.
+    pub(crate) targets: Vec<(u64, u32)>,
+    /// The round's `RandomEdge` global slots, in batch order. Turnstile
+    /// `f1` ℓ₀-banks are seeded by, and answer, these slots.
+    pub(crate) f1_slots: Vec<u32>,
+}
+
+impl PassCtx {
+    /// Take the pooled `f1` buffers out of the arena. [`split_batch`]
+    /// must already have filled the `RandomEdge` slot list.
+    pub(crate) fn take(arena: &mut RouterArena, feed: &ShardedFeed) -> Self {
+        let mut targets = std::mem::take(&mut arena.scratch_targets);
+        targets.clear();
+        PassCtx {
+            num_vertices: feed.num_vertices(),
+            targets,
+            f1_slots: std::mem::take(&mut arena.scratch_edge),
         }
     }
-    sort_targets(targets, stream_len);
+
+    /// The pass prologue: split the batch over the feed's shards, then
+    /// draw the `f1` position targets (insertion) or keep the `f1` slots
+    /// for the ℓ₀-banks (turnstile).
+    ///
+    /// Targets are drawn centrally from the pass rng in batch order —
+    /// the exact coin sequence a single-stream pass consumes — then
+    /// sorted by position for cursor matching.
+    pub(crate) fn begin(
+        model: Model,
+        batch: &[Query],
+        feed: &ShardedFeed,
+        pass_seed: u64,
+        arena: &mut RouterArena,
+    ) -> Self {
+        split_batch(batch, model, feed.shard_map(), arena);
+        let mut ctx = PassCtx::take(arena, feed);
+        let stream_len = feed.stream_len() as u64;
+        if model == Model::Insertion && stream_len > 0 {
+            let mut rng = FastRng::seed_from_u64(pass_seed);
+            for &slot in &ctx.f1_slots {
+                ctx.targets.push((rng.gen_range(0..stream_len), slot));
+            }
+            sort_targets(&mut ctx.targets, stream_len);
+        }
+        ctx
+    }
+
+    /// The pass epilogue: merge shard-local answers and driver-kept
+    /// state into the batch-wide answer vector, merge the per-shard
+    /// turnstile `f1` banks (linear sketches: the result is the exact
+    /// single-stream sketch state), and return the pooled buffers to the
+    /// arena. Returns the answers and the measured pass footprint.
+    pub(crate) fn finish(
+        self,
+        model: Model,
+        batch_len: usize,
+        feed: &ShardedFeed,
+        arena: &mut RouterArena,
+        mut outcomes: Vec<ShardOutcome>,
+    ) -> (Vec<Answer>, usize) {
+        let mut space = outcomes.iter().map(|o| o.space_bytes).sum::<usize>();
+        let mut answers = merge_answers(batch_len, feed, arena, outcomes.len(), &outcomes);
+        match model {
+            Model::Insertion => space += self.targets.len() * 16,
+            Model::Turnstile => {
+                let (head, rest) = outcomes.split_at_mut(1);
+                for o in rest.iter() {
+                    for (a, b) in head[0].f1_bank.iter_mut().zip(&o.f1_bank) {
+                        a.merge(b);
+                    }
+                }
+                for (&slot, s) in self.f1_slots.iter().zip(&outcomes[0].f1_bank) {
+                    answers[slot as usize] = Answer::Edge(s.sample().map(Edge::from_key));
+                }
+            }
+        }
+        arena.scratch_targets = self.targets;
+        arena.scratch_edge = self.f1_slots;
+        (answers, space)
+    }
 }
 
 /// One shard's insertion-model pass as a **resumable state machine**:
@@ -173,7 +236,7 @@ impl<'a> InsertionShardPass<'a> {
         pass_seed: u64,
         opts: PassOpts,
     ) -> Self {
-        slot.router.rebuild(&slot.sub_batch, RouterMode::Insertion);
+        slot.router.rebuild(&slot.sub_batch, Model::Insertion);
         let mut reservoirs: ReservoirBank<Edge> = ReservoirBank::from_seeds(
             slot.router
                 .neighbor_slots()
@@ -244,13 +307,6 @@ impl<'a> InsertionShardPass<'a> {
             }
             self.buf = buf;
         }
-    }
-
-    /// Record this pass's feed duration into the arena slot (the same
-    /// telemetry the scoped-thread wrappers record around their one
-    /// `feed` call; the broadcast drivers call this before `finish`).
-    pub(crate) fn record_pass_nanos(&mut self, nanos: u64) {
-        self.slot.pass_nanos.push(nanos);
     }
 
     /// Serialize the mutable mid-pass state: the reservoir bank (RNG
@@ -335,23 +391,6 @@ impl<'a> InsertionShardPass<'a> {
     }
 }
 
-/// One shard's insertion-model pass over its scoped-thread buffer.
-fn run_insertion_shard(
-    slot: &mut ShardSlot,
-    feed: &ShardedFeed,
-    shard_id: usize,
-    targets: &[(u64, u32)],
-    pass_seed: u64,
-    opts: PassOpts,
-) -> ShardOutcome {
-    let t0 = Instant::now();
-    let mut pass = InsertionShardPass::new(&mut *slot, targets, pass_seed, opts);
-    pass.feed(feed.shard(shard_id));
-    let out = pass.finish();
-    slot.pass_nanos.push(t0.elapsed().as_nanos() as u64);
-    out
-}
-
 /// One shard's turnstile-model pass as a resumable state machine (see
 /// [`InsertionShardPass`]).
 pub(crate) struct TurnstileShardPass<'a> {
@@ -365,32 +404,32 @@ pub(crate) struct TurnstileShardPass<'a> {
 }
 
 impl<'a> TurnstileShardPass<'a> {
-    /// Rebuild the pooled router and seed the sketch banks. Every shard
-    /// keeps the full `f1` bank, identically seeded by global slot, and
-    /// feeds it *owned* deliveries only: merging the banks across
-    /// shards reassembles the exact single-stream sketch state
-    /// (ℓ₀-samplers are linear).
+    /// Rebuild the pooled router and seed the sketch banks, every
+    /// sampler by its global batch slot through `lane_seed` (a solo pass
+    /// uses `split_seed(pass_seed, slot)`; a multiplexed one, the slot
+    /// owner's solo coin). Every shard keeps the full `f1` bank,
+    /// identically seeded, and feeds it *owned* deliveries only: merging
+    /// the banks across shards reassembles the exact single-stream
+    /// sketch state (ℓ₀-samplers are linear).
     pub(crate) fn new(
         slot: &'a mut ShardSlot,
-        num_vertices: usize,
-        f1_slots: &[u32],
-        pass_seed: u64,
+        ctx: &PassCtx,
+        lane_seed: impl Fn(u32) -> u64,
         opts: PassOpts,
     ) -> Self {
-        slot.router.rebuild(&slot.sub_batch, RouterMode::Turnstile);
-        let f1_bank: Vec<L0Sampler> = f1_slots
+        slot.router.rebuild(&slot.sub_batch, Model::Turnstile);
+        let num_vertices = ctx.num_vertices;
+        let f1_bank: Vec<L0Sampler> = ctx
+            .f1_slots
             .iter()
-            .map(|&gs| L0Sampler::for_edge_domain(num_vertices, split_seed(pass_seed, gs as u64)))
+            .map(|&gs| L0Sampler::for_edge_domain(num_vertices, lane_seed(gs)))
             .collect();
         let nbr_samplers: Vec<L0Sampler> = slot
             .router
             .neighbor_slots()
             .iter()
             .map(|&ls| {
-                L0Sampler::for_edge_domain(
-                    num_vertices,
-                    split_seed(pass_seed, slot.slot_map[ls as usize] as u64),
-                )
+                L0Sampler::for_edge_domain(num_vertices, lane_seed(slot.slot_map[ls as usize]))
             })
             .collect();
         let nbr_verts: Vec<VertexId> = slot.router.neighbor_vertices().collect();
@@ -462,11 +501,6 @@ impl<'a> TurnstileShardPass<'a> {
             self.buf = buf;
             self.owned_kd = owned_kd;
         }
-    }
-
-    /// See [`InsertionShardPass::record_pass_nanos`].
-    pub(crate) fn record_pass_nanos(&mut self, nanos: u64) {
-        self.slot.pass_nanos.push(nanos);
     }
 
     /// Serialize the mutable mid-pass state: every ℓ₀-sampler of the
@@ -556,43 +590,118 @@ impl<'a> TurnstileShardPass<'a> {
     }
 }
 
-/// One shard's turnstile-model pass over its scoped-thread buffer.
-fn run_turnstile_shard(
-    slot: &mut ShardSlot,
-    feed: &ShardedFeed,
-    shard_id: usize,
-    f1_slots: &[u32],
-    pass_seed: u64,
-    opts: PassOpts,
-) -> ShardOutcome {
-    let t0 = Instant::now();
-    let mut pass =
-        TurnstileShardPass::new(&mut *slot, feed.num_vertices(), f1_slots, pass_seed, opts);
-    pass.feed(feed.shard(shard_id));
-    let out = pass.finish();
-    slot.pass_nanos.push(t0.elapsed().as_nanos() as u64);
-    out
+/// One shard's pass state machine for one round, in either stream model:
+/// the one type every engine feeds — scoped-thread shard buffers, ring
+/// cursors, persistent runtime workers, and the checkpointed driver.
+pub(crate) enum ShardPass<'a> {
+    Insertion(InsertionShardPass<'a>),
+    Turnstile(TurnstileShardPass<'a>),
+    /// A multiplexed round's insertion pass (per-job reservoir banks);
+    /// built by [`crate::multiplex`] only, never checkpointed.
+    Mux(MuxInsertionShardPass<'a>),
 }
 
-/// Run every shard worker, threaded or inline per the injected
-/// [`ExecPolicy`], collecting outcomes in shard order. Shared with the
-/// multiplexer, whose shared-pass workers have the same shape.
-pub(crate) fn run_shards<F>(
-    slots: &mut [ShardSlot],
+impl<'a> ShardPass<'a> {
+    /// Build `model`'s pass over `slot` for a solo round: every sampler is
+    /// seeded by `split_seed(pass_seed, global slot)`, the single-stream
+    /// executors' coins.
+    pub(crate) fn new(
+        model: Model,
+        slot: &'a mut ShardSlot,
+        ctx: &'a PassCtx,
+        pass_seed: u64,
+        opts: PassOpts,
+    ) -> Self {
+        match model {
+            Model::Insertion => {
+                ShardPass::Insertion(InsertionShardPass::new(slot, &ctx.targets, pass_seed, opts))
+            }
+            Model::Turnstile => ShardPass::Turnstile(TurnstileShardPass::new(
+                slot,
+                ctx,
+                |gs| split_seed(pass_seed, gs as u64),
+                opts,
+            )),
+        }
+    }
+
+    /// Absorb the next run of deliveries (global stream order, possibly
+    /// a partial prefix — callable repeatedly).
+    pub(crate) fn feed(&mut self, deliveries: &[ShardUpdate]) {
+        match self {
+            ShardPass::Insertion(p) => p.feed(deliveries),
+            ShardPass::Turnstile(p) => p.feed(deliveries),
+            ShardPass::Mux(p) => p.feed(deliveries),
+        }
+    }
+
+    /// Record this pass's feed duration into its arena slot, for the
+    /// arena's per-shard critical-path telemetry.
+    pub(crate) fn record_pass_nanos(&mut self, nanos: u64) {
+        let slot = match self {
+            ShardPass::Insertion(p) => &mut p.slot,
+            ShardPass::Turnstile(p) => &mut p.slot,
+            ShardPass::Mux(p) => &mut p.slot,
+        };
+        slot.pass_nanos.push(nanos);
+    }
+
+    /// End of stream: fill shard-local answers and report the outcome.
+    pub(crate) fn finish(self) -> ShardOutcome {
+        match self {
+            ShardPass::Insertion(p) => p.finish(),
+            ShardPass::Turnstile(p) => p.finish(),
+            ShardPass::Mux(p) => p.finish(),
+        }
+    }
+
+    /// Serialize the mutable mid-pass state (see the per-model
+    /// `snapshot_state`); the leading tag byte is [`Model::tag`].
+    pub(crate) fn snapshot_state(&self) -> Vec<u8> {
+        match self {
+            ShardPass::Insertion(p) => p.snapshot_state(),
+            ShardPass::Turnstile(p) => p.snapshot_state(),
+            ShardPass::Mux(_) => unreachable!("multiplexed passes are never checkpointed"),
+        }
+    }
+
+    /// Restore mid-pass state captured by [`ShardPass::snapshot_state`]
+    /// into a freshly built pass over the same round.
+    pub(crate) fn restore_state(&mut self, bytes: &[u8]) -> PersistResult<()> {
+        match self {
+            ShardPass::Insertion(p) => p.restore_state(bytes),
+            ShardPass::Turnstile(p) => p.restore_state(bytes),
+            ShardPass::Mux(_) => unreachable!("multiplexed passes are never checkpointed"),
+        }
+    }
+}
+
+/// Run one pass over every shard's private buffer, threaded or inline
+/// per the injected [`ExecPolicy`], collecting outcomes in shard order.
+/// `make` builds each shard's pass machine; the solo drivers and the
+/// multiplexer differ only there.
+pub(crate) fn run_shards<'a>(
+    feed: &ShardedFeed,
+    slots: &'a mut [ShardSlot],
     policy: ExecPolicy,
-    worker: F,
-) -> Vec<ShardOutcome>
-where
-    F: Fn(usize, &mut ShardSlot) -> ShardOutcome + Sync,
-{
+    make: impl Fn(&'a mut ShardSlot) -> ShardPass<'a> + Sync,
+) -> Vec<ShardOutcome> {
+    feed.begin_pass();
+    let work = |sid: usize, slot: &'a mut ShardSlot| {
+        let t0 = Instant::now();
+        let mut pass = make(slot);
+        pass.feed(feed.shard(sid));
+        pass.record_pass_nanos(t0.elapsed().as_nanos() as u64);
+        pass.finish()
+    };
     if policy.use_threads(slots.len()) {
         std::thread::scope(|scope| {
             let handles: Vec<_> = slots
                 .iter_mut()
                 .enumerate()
-                .map(|(i, slot)| {
-                    let worker = &worker;
-                    scope.spawn(move || worker(i, slot))
+                .map(|(sid, slot)| {
+                    let work = &work;
+                    scope.spawn(move || work(sid, slot))
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
@@ -601,14 +710,14 @@ where
         slots
             .iter_mut()
             .enumerate()
-            .map(|(i, slot)| worker(i, slot))
+            .map(|(sid, slot)| work(sid, slot))
             .collect()
     }
 }
 
 /// Merge shard-local answers and driver-kept state into the batch-wide
 /// answer vector.
-pub(crate) fn merge_answers(
+fn merge_answers(
     batch_len: usize,
     feed: &ShardedFeed,
     arena: &RouterArena,
@@ -633,64 +742,48 @@ pub(crate) fn merge_answers(
     answers
 }
 
-/// Answer one round's batch with one **sharded** insertion-only pass:
-/// the N-shard generalization of [`crate::exec::answer_insertion_batch`],
-/// byte-identical to it (and to the reference executor) for every shard
-/// count. Returns the merged answers and the measured pass footprint.
-pub fn answer_insertion_batch_sharded(
-    batch: &[Query],
-    feed: &ShardedFeed,
-    pass_seed: u64,
+/// The round loop every non-checkpointed engine runs: ask the algorithm
+/// for its next batch, answer it with one logical pass, account the pass
+/// in the [`ExecReport`], and sample the arena's heap footprint. `pass`
+/// receives the batch, the round's pass seed (`split_seed(seed, pass)`),
+/// and the 1-based pass number.
+pub(crate) fn drive_rounds<A: RoundAdaptive>(
+    mut alg: A,
+    seed: u64,
     arena: &mut RouterArena,
-) -> (Vec<Answer>, usize) {
-    answer_insertion_batch_sharded_with_opts(batch, feed, pass_seed, arena, PassOpts::default())
+    mut pass: impl FnMut(&[Query], u64, usize, &mut RouterArena) -> (Vec<Answer>, usize),
+) -> (A::Output, ExecReport) {
+    let mut report = ExecReport::default();
+    arena.begin_run();
+    let mut answers: Vec<Answer> = Vec::new();
+    loop {
+        let batch = alg.next_round(&answers);
+        if batch.is_empty() {
+            break;
+        }
+        report.rounds += 1;
+        report.passes += 1;
+        report.queries += batch.len();
+        report.answer_bytes += batch.len() * ANSWER_BYTES;
+        let pass_seed = split_seed(seed, report.passes as u64);
+        let (a, space) = pass(&batch, pass_seed, report.passes, arena);
+        report.max_pass_space_bytes = report.max_pass_space_bytes.max(space);
+        answers = a;
+        arena.note_round();
+    }
+    arena.end_run();
+    (alg.output(), report)
 }
 
-/// [`answer_insertion_batch_sharded`] with an explicit feed block size
-/// (`block <= 1` = scalar per-update path on every shard).
-pub fn answer_insertion_batch_sharded_with_block(
-    batch: &[Query],
-    feed: &ShardedFeed,
-    pass_seed: u64,
-    arena: &mut RouterArena,
-    block: usize,
-) -> (Vec<Answer>, usize) {
-    answer_insertion_batch_sharded_with_opts(
-        batch,
-        feed,
-        pass_seed,
-        arena,
-        PassOpts::with_block(block),
-    )
-}
-
-/// [`answer_insertion_batch_sharded`] with full feed-path options
-/// ([`PassOpts`]: block size + relaxed-`f3` reservoir mode). For a fixed
-/// mode the sharded answers stay byte-identical to the single-stream
-/// pass at any shard count — a neighbor sampler's vertex lives entirely
-/// in one shard, so its offer/draw sequence is unchanged whichever
-/// acceptance scheme runs it.
-pub fn answer_insertion_batch_sharded_with_opts(
-    batch: &[Query],
-    feed: &ShardedFeed,
-    pass_seed: u64,
-    arena: &mut RouterArena,
-    opts: PassOpts,
-) -> (Vec<Answer>, usize) {
-    answer_insertion_batch_sharded_with_exec(
-        batch,
-        feed,
-        pass_seed,
-        arena,
-        opts,
-        ExecPolicy::default(),
-    )
-}
-
-/// [`answer_insertion_batch_sharded_with_opts`] with an injected
-/// [`ExecPolicy`] (thread-or-not + pinning) instead of the default
-/// host-adaptive one. Answers are identical under every policy.
-pub fn answer_insertion_batch_sharded_with_exec(
+/// Answer one round's batch with one **sharded** pass in `model`: the
+/// N-shard generalization of [`crate::exec::answer_batch`], byte-identical
+/// to it (and to the reference executors) for every shard count, feed
+/// option, and [`ExecPolicy`]. For a fixed reservoir mode a neighbor
+/// sampler's vertex lives entirely in one shard, so its offer/draw
+/// sequence is unchanged whichever acceptance scheme runs it. Returns the
+/// merged answers and the measured pass footprint.
+pub fn answer_batch_sharded(
+    model: Model,
     batch: &[Query],
     feed: &ShardedFeed,
     pass_seed: u64,
@@ -698,277 +791,75 @@ pub fn answer_insertion_batch_sharded_with_exec(
     opts: PassOpts,
     policy: ExecPolicy,
 ) -> (Vec<Answer>, usize) {
-    let shards = feed.num_shards();
-    if shards == 1 {
+    if feed.num_shards() == 1 {
         // Single shard: skip the split/scatter machinery and run the
         // direct pass emulation over the feed (its `EdgeStream` replay
         // reconstructs the source order and counts the logical pass) —
-        // existing single-stream callers keep the PR-1 per-pass cost.
+        // single-stream callers keep the direct per-pass cost.
         arena.ensure_shards(1);
         let t0 = Instant::now();
-        let out = crate::exec::answer_insertion_batch_with_opts(batch, feed, pass_seed, opts);
+        let out = crate::exec::answer_batch(model, batch, feed, pass_seed, opts);
         arena.slots[0]
             .pass_nanos
             .push(t0.elapsed().as_nanos() as u64);
         return out;
     }
-    feed.begin_pass();
-    split_batch(batch, RouterMode::Insertion, feed.shard_map(), arena);
-    let mut targets = std::mem::take(&mut arena.scratch_targets);
-    draw_targets(batch, feed.stream_len() as u64, pass_seed, &mut targets);
-    let outcomes = run_shards(&mut arena.slots[..shards], policy, |i, slot| {
-        run_insertion_shard(slot, feed, i, &targets, pass_seed, opts)
-    });
-    let space = outcomes.iter().map(|o| o.space_bytes).sum::<usize>() + targets.len() * 16;
-    arena.scratch_targets = targets;
-    let answers = merge_answers(batch.len(), feed, arena, shards, &outcomes);
-    (answers, space)
-}
-
-/// Answer one round's batch with one **sharded** turnstile pass: the
-/// N-shard generalization of [`crate::exec::answer_turnstile_batch`],
-/// byte-identical to it for every shard count.
-pub fn answer_turnstile_batch_sharded(
-    batch: &[Query],
-    feed: &ShardedFeed,
-    pass_seed: u64,
-    arena: &mut RouterArena,
-) -> (Vec<Answer>, usize) {
-    answer_turnstile_batch_sharded_with_opts(batch, feed, pass_seed, arena, PassOpts::default())
-}
-
-/// [`answer_turnstile_batch_sharded`] with an explicit feed block size
-/// (`block <= 1` = scalar per-update path on every shard).
-pub fn answer_turnstile_batch_sharded_with_block(
-    batch: &[Query],
-    feed: &ShardedFeed,
-    pass_seed: u64,
-    arena: &mut RouterArena,
-    block: usize,
-) -> (Vec<Answer>, usize) {
-    answer_turnstile_batch_sharded_with_opts(
-        batch,
-        feed,
-        pass_seed,
-        arena,
-        PassOpts::with_block(block),
-    )
-}
-
-/// [`answer_turnstile_batch_sharded`] with full feed-path options
-/// ([`PassOpts`]: block size + ℓ₀ feed path). Both knobs are
-/// byte-identity-preserving, so the sharded answers match the
-/// single-stream pass at any shard count under every combination.
-pub fn answer_turnstile_batch_sharded_with_opts(
-    batch: &[Query],
-    feed: &ShardedFeed,
-    pass_seed: u64,
-    arena: &mut RouterArena,
-    opts: PassOpts,
-) -> (Vec<Answer>, usize) {
-    answer_turnstile_batch_sharded_with_exec(
-        batch,
-        feed,
-        pass_seed,
-        arena,
-        opts,
-        ExecPolicy::default(),
-    )
-}
-
-/// [`answer_turnstile_batch_sharded_with_opts`] with an injected
-/// [`ExecPolicy`]. Answers are identical under every policy.
-pub fn answer_turnstile_batch_sharded_with_exec(
-    batch: &[Query],
-    feed: &ShardedFeed,
-    pass_seed: u64,
-    arena: &mut RouterArena,
-    opts: PassOpts,
-    policy: ExecPolicy,
-) -> (Vec<Answer>, usize) {
+    let ctx = PassCtx::begin(model, batch, feed, pass_seed, arena);
     let shards = feed.num_shards();
-    if shards == 1 {
-        // See answer_insertion_batch_sharded: direct pass over the feed.
-        arena.ensure_shards(1);
-        let t0 = Instant::now();
-        let out = crate::exec::answer_turnstile_batch_with_opts(batch, feed, pass_seed, opts);
-        arena.slots[0]
-            .pass_nanos
-            .push(t0.elapsed().as_nanos() as u64);
-        return out;
-    }
-    feed.begin_pass();
-    split_batch(batch, RouterMode::Turnstile, feed.shard_map(), arena);
-    let f1_slots = std::mem::take(&mut arena.scratch_edge);
-    let mut outcomes = run_shards(&mut arena.slots[..shards], policy, |i, slot| {
-        run_turnstile_shard(slot, feed, i, &f1_slots, pass_seed, opts)
+    let outcomes = run_shards(feed, &mut arena.slots[..shards], policy, |slot| {
+        ShardPass::new(model, slot, &ctx, pass_seed, opts)
     });
-    let space = outcomes.iter().map(|o| o.space_bytes).sum::<usize>();
-    // Merge the per-shard f1 banks into shard 0's (linear sketches):
-    // the result is the exact single-stream sketch state.
-    let (head, rest) = outcomes.split_at_mut(1);
-    for o in rest.iter() {
-        for (a, b) in head[0].f1_bank.iter_mut().zip(&o.f1_bank) {
-            a.merge(b);
-        }
-    }
-    let mut answers = merge_answers(batch.len(), feed, arena, shards, &outcomes);
-    for (&slot, s) in f1_slots.iter().zip(&outcomes[0].f1_bank) {
-        answers[slot as usize] = Answer::Edge(s.sample().map(Edge::from_key));
-    }
-    arena.scratch_edge = f1_slots;
-    (answers, space)
+    ctx.finish(model, batch.len(), feed, arena, outcomes)
 }
 
-/// Execute a round-adaptive algorithm as a sharded insertion-only
-/// streaming algorithm: one *logical* pass per round, fanned out over
-/// the feed's shards. With one shard this **is** the single-stream
-/// executor ([`crate::exec::run_insertion`] is exactly this call).
-pub fn run_insertion_sharded<A: RoundAdaptive>(
-    alg: A,
-    feed: &ShardedFeed,
-    seed: u64,
-    arena: &mut RouterArena,
-) -> (A::Output, ExecReport) {
-    run_insertion_sharded_with_opts(alg, feed, seed, arena, PassOpts::default())
-}
-
-/// [`run_insertion_sharded`] with an explicit feed block size.
-pub fn run_insertion_sharded_with_block<A: RoundAdaptive>(
-    alg: A,
-    feed: &ShardedFeed,
-    seed: u64,
-    arena: &mut RouterArena,
-    block: usize,
-) -> (A::Output, ExecReport) {
-    run_insertion_sharded_with_opts(alg, feed, seed, arena, PassOpts::with_block(block))
-}
-
-/// [`run_insertion_sharded`] with full feed-path options ([`PassOpts`]).
-pub fn run_insertion_sharded_with_opts<A: RoundAdaptive>(
+/// Execute a round-adaptive algorithm as a sharded streaming algorithm in
+/// `model`: one *logical* pass per round, fanned out over the feed's
+/// shards. With one shard this **is** the single-stream executor
+/// ([`crate::exec::run_insertion`] / [`crate::exec::run_turnstile`]).
+pub fn run_sharded<A: RoundAdaptive>(
+    model: Model,
     alg: A,
     feed: &ShardedFeed,
     seed: u64,
     arena: &mut RouterArena,
     opts: PassOpts,
+    policy: ExecPolicy,
 ) -> (A::Output, ExecReport) {
-    run_insertion_sharded_with_exec(alg, feed, seed, arena, opts, ExecPolicy::default())
+    drive_rounds(alg, seed, arena, |batch, pass_seed, _, arena| {
+        answer_batch_sharded(model, batch, feed, pass_seed, arena, opts, policy)
+    })
 }
 
-/// [`run_insertion_sharded_with_opts`] with an explicit execution policy
-/// governing the shard workers (serial / threaded / auto, core pinning).
+/// [`run_sharded`] in the insertion model. Kept by name because
+/// `perfbench/src/traced.rs` calls it.
 pub fn run_insertion_sharded_with_exec<A: RoundAdaptive>(
-    mut alg: A,
+    alg: A,
     feed: &ShardedFeed,
     seed: u64,
     arena: &mut RouterArena,
     opts: PassOpts,
     policy: ExecPolicy,
 ) -> (A::Output, ExecReport) {
-    let mut report = ExecReport::default();
-    arena.begin_run();
-    let mut answers: Vec<Answer> = Vec::new();
-    loop {
-        let batch = alg.next_round(&answers);
-        if batch.is_empty() {
-            break;
-        }
-        report.rounds += 1;
-        report.passes += 1;
-        report.queries += batch.len();
-        report.answer_bytes += batch.len() * ANSWER_BYTES;
-        let (a, space) = answer_insertion_batch_sharded_with_exec(
-            &batch,
-            feed,
-            split_seed(seed, report.passes as u64),
-            arena,
-            opts,
-            policy,
-        );
-        report.max_pass_space_bytes = report.max_pass_space_bytes.max(space);
-        answers = a;
-        arena.note_round();
-    }
-    arena.end_run();
-    (alg.output(), report)
+    run_sharded(Model::Insertion, alg, feed, seed, arena, opts, policy)
 }
 
-/// Execute a round-adaptive algorithm as a sharded turnstile streaming
-/// algorithm: one logical pass per round over N shards. With one shard
-/// this is [`crate::exec::run_turnstile`].
-pub fn run_turnstile_sharded<A: RoundAdaptive>(
-    alg: A,
-    feed: &ShardedFeed,
-    seed: u64,
-    arena: &mut RouterArena,
-) -> (A::Output, ExecReport) {
-    run_turnstile_sharded_with_opts(alg, feed, seed, arena, PassOpts::default())
-}
-
-/// [`run_turnstile_sharded`] with an explicit feed block size.
-pub fn run_turnstile_sharded_with_block<A: RoundAdaptive>(
-    alg: A,
-    feed: &ShardedFeed,
-    seed: u64,
-    arena: &mut RouterArena,
-    block: usize,
-) -> (A::Output, ExecReport) {
-    run_turnstile_sharded_with_opts(alg, feed, seed, arena, PassOpts::with_block(block))
-}
-
-/// [`run_turnstile_sharded`] with full feed-path options ([`PassOpts`]).
-pub fn run_turnstile_sharded_with_opts<A: RoundAdaptive>(
-    alg: A,
-    feed: &ShardedFeed,
-    seed: u64,
-    arena: &mut RouterArena,
-    opts: PassOpts,
-) -> (A::Output, ExecReport) {
-    run_turnstile_sharded_with_exec(alg, feed, seed, arena, opts, ExecPolicy::default())
-}
-
-/// [`run_turnstile_sharded_with_opts`] with an explicit execution
-/// policy governing the shard workers.
+/// [`run_sharded`] in the turnstile model. Kept by name because
+/// `perfbench/src/traced.rs` calls it.
 pub fn run_turnstile_sharded_with_exec<A: RoundAdaptive>(
-    mut alg: A,
+    alg: A,
     feed: &ShardedFeed,
     seed: u64,
     arena: &mut RouterArena,
     opts: PassOpts,
     policy: ExecPolicy,
 ) -> (A::Output, ExecReport) {
-    let mut report = ExecReport::default();
-    arena.begin_run();
-    let mut answers: Vec<Answer> = Vec::new();
-    loop {
-        let batch = alg.next_round(&answers);
-        if batch.is_empty() {
-            break;
-        }
-        report.rounds += 1;
-        report.passes += 1;
-        report.queries += batch.len();
-        report.answer_bytes += batch.len() * ANSWER_BYTES;
-        let (a, space) = answer_turnstile_batch_sharded_with_exec(
-            &batch,
-            feed,
-            split_seed(seed, report.passes as u64),
-            arena,
-            opts,
-            policy,
-        );
-        report.max_pass_space_bytes = report.max_pass_space_bytes.max(space);
-        answers = a;
-        arena.note_round();
-    }
-    arena.end_run();
-    (alg.output(), report)
+    run_sharded(Model::Turnstile, alg, feed, seed, arena, opts, policy)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{answer_insertion_batch, answer_turnstile_batch};
+    use crate::exec::answer_batch;
     use sgs_graph::gen;
     use sgs_stream::reservoir::ReservoirMode;
     use sgs_stream::{InsertionStream, TurnstileStream};
@@ -998,11 +889,15 @@ mod tests {
                 let feed = ShardedFeed::partition(&ins, shards);
                 let mut arena = RouterArena::new();
                 for pass_seed in 0..20u64 {
-                    let (a, _) = crate::exec::answer_insertion_batch_with_opts(
-                        &batch, &ins, pass_seed, opts,
-                    );
-                    let (b, _) = answer_insertion_batch_sharded_with_opts(
-                        &batch, &feed, pass_seed, &mut arena, opts,
+                    let (a, _) = answer_batch(Model::Insertion, &batch, &ins, pass_seed, opts);
+                    let (b, _) = answer_batch_sharded(
+                        Model::Insertion,
+                        &batch,
+                        &feed,
+                        pass_seed,
+                        &mut arena,
+                        opts,
+                        ExecPolicy::default(),
                     );
                     assert_eq!(a, b, "{mode:?}, {shards} shards, pass seed {pass_seed}");
                 }
@@ -1020,8 +915,22 @@ mod tests {
             let feed = ShardedFeed::partition(&tst, shards);
             let mut arena = RouterArena::new();
             for pass_seed in 0..10u64 {
-                let (a, _) = answer_turnstile_batch(&batch, &tst, pass_seed);
-                let (b, _) = answer_turnstile_batch_sharded(&batch, &feed, pass_seed, &mut arena);
+                let (a, _) = answer_batch(
+                    Model::Turnstile,
+                    &batch,
+                    &tst,
+                    pass_seed,
+                    PassOpts::default(),
+                );
+                let (b, _) = answer_batch_sharded(
+                    Model::Turnstile,
+                    &batch,
+                    &feed,
+                    pass_seed,
+                    &mut arena,
+                    PassOpts::default(),
+                    ExecPolicy::default(),
+                );
                 assert_eq!(a, b, "{shards} shards, pass seed {pass_seed}");
             }
         }
@@ -1035,11 +944,12 @@ mod tests {
         let g = gen::gnm(20, 70, 23);
         let ins = InsertionStream::from_graph(&g, 24);
         let batch = mixed_insertion_batch();
-        let (expected, _) = answer_insertion_batch(&batch, &ins, 5);
+        let (expected, _) = answer_batch(Model::Insertion, &batch, &ins, 5, PassOpts::default());
         let feed = ShardedFeed::partition(&ins, 4);
         let mut arena = RouterArena::new();
         for policy in [ExecPolicy::threaded(), ExecPolicy::serial()] {
-            let (got, _) = answer_insertion_batch_sharded_with_exec(
+            let (got, _) = answer_batch_sharded(
+                Model::Insertion,
                 &batch,
                 &feed,
                 5,
@@ -1057,11 +967,12 @@ mod tests {
         let tst = TurnstileStream::from_graph_with_churn(&g, 0.5, 26);
         let mut batch = mixed_insertion_batch();
         batch.retain(|q| !matches!(q, Query::IthNeighbor(..)));
-        let (expected, _) = answer_turnstile_batch(&batch, &tst, 5);
+        let (expected, _) = answer_batch(Model::Turnstile, &batch, &tst, 5, PassOpts::default());
         let feed = ShardedFeed::partition(&tst, 4);
         let mut arena = RouterArena::new();
         for policy in [ExecPolicy::threaded(), ExecPolicy::serial()] {
-            let (got, _) = answer_turnstile_batch_sharded_with_exec(
+            let (got, _) = answer_batch_sharded(
+                Model::Turnstile,
                 &batch,
                 &feed,
                 5,
@@ -1081,7 +992,15 @@ mod tests {
         let mut arena = RouterArena::new();
         let batch = mixed_insertion_batch();
         for pass_seed in 0..3u64 {
-            let _ = answer_insertion_batch_sharded(&batch, &feed, pass_seed, &mut arena);
+            let _ = answer_batch_sharded(
+                Model::Insertion,
+                &batch,
+                &feed,
+                pass_seed,
+                &mut arena,
+                PassOpts::default(),
+                ExecPolicy::default(),
+            );
         }
         assert_eq!(feed.logical_passes(), 3, "5 shards × 3 passes = 3 passes");
     }
@@ -1093,11 +1012,14 @@ mod tests {
         let tst = TurnstileStream::from_graph_with_churn(&g, 0.0, 2);
         let feed = ShardedFeed::partition(&tst, 2);
         let mut arena = RouterArena::new();
-        let _ = answer_turnstile_batch_sharded(
+        let _ = answer_batch_sharded(
+            Model::Turnstile,
             &[Query::IthNeighbor(VertexId(0), 1)],
             &feed,
             3,
             &mut arena,
+            PassOpts::default(),
+            ExecPolicy::default(),
         );
     }
 
@@ -1112,8 +1034,17 @@ mod tests {
             Query::Degree(VertexId(1)),
             Query::RandomNeighbor(VertexId(2)),
         ];
-        let (a, _) = answer_insertion_batch_sharded(&batch, &feed, 7, &mut arena);
-        let (b, _) = answer_insertion_batch(&batch, &ins, 7);
+        let opts = PassOpts::default();
+        let (a, _) = answer_batch_sharded(
+            Model::Insertion,
+            &batch,
+            &feed,
+            7,
+            &mut arena,
+            opts,
+            ExecPolicy::default(),
+        );
+        let (b, _) = answer_batch(Model::Insertion, &batch, &ins, 7, opts);
         assert_eq!(a, b);
         assert_eq!(a[0], Answer::EdgeCount(0));
         assert_eq!(a[1], Answer::Edge(None));

@@ -68,7 +68,7 @@
 //! Both a blocking schedule (producer + consumers on threads) and a
 //! cooperative single-threaded schedule (`try_push`/`try_next`
 //! round-robin) drive the same ring; the executors in `sgs-query` pick
-//! per [`ExecPolicy`], and `tests/ring_stress.rs` drives randomized
+//! per their injected `ExecPolicy`, and `tests/ring_stress.rs` drives randomized
 //! interleavings through both APIs against the mutex oracle.
 
 use crate::sharded::{RoutedUpdate, ShardedFeed};

@@ -523,7 +523,7 @@ impl L0Sampler {
     /// [`L0Sampler::update_batch`] through the survivor-level dispatch
     /// path: base hashes are computed a chunk ahead exactly as in the
     /// predicated batch, then each chunk is fed via level-cohort slicing
-    /// ([`L0Sampler::absorb_block_dispatch`]). Bit-identical to both the
+    /// (`absorb_block_dispatch`). Bit-identical to both the
     /// scalar paths and the predicated batch at every block size.
     pub fn update_batch_dispatch(&mut self, updates: &[(u64, i64)]) {
         const CHUNK: usize = DISPATCH_CHUNK;

@@ -77,11 +77,11 @@ pub const KIND_WAL_SEAL: u8 = 2;
 pub const KIND_SNAPSHOT: u8 = 3;
 /// The manifest record naming the latest complete snapshot.
 pub const KIND_MANIFEST: u8 = 4;
-/// An [`crate::L0Sampler`] state record.
+/// An [`crate::l0::L0Sampler`] state record.
 pub const KIND_L0: u8 = 5;
-/// A [`crate::ReservoirBank`] state record.
+/// A [`crate::reservoir::ReservoirBank`] state record.
 pub const KIND_RESERVOIR: u8 = 6;
-/// A [`crate::FlatIndex`] state record.
+/// A [`crate::flat::FlatIndex`] state record.
 pub const KIND_FLAT: u8 = 7;
 /// Caller-owned run configuration (the CLI's pattern/trials/seed blob).
 pub const KIND_CONFIG: u8 = 8;
@@ -432,7 +432,7 @@ impl<'a> Decoder<'a> {
     }
 }
 
-/// Items a [`crate::ReservoirBank`] can persist.
+/// Items a [`crate::reservoir::ReservoirBank`] can persist.
 pub trait PersistItem: Copy {
     /// Append this item to `enc`.
     fn encode_item(&self, enc: &mut Encoder);

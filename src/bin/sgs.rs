@@ -16,10 +16,12 @@
 //! `bull`, `bowtie`, `house`.
 
 use sgs_graph::zoo::parse_pattern;
+use sgs_query::{BroadcastOpts, ExecPolicy, Model, PassOpts, ReservoirMode, RouterArena};
 use sgs_stream::persist::{read_config, read_wal, write_config, Decoder, Encoder, PersistError};
-use sgs_stream::EdgeUpdate;
+use sgs_stream::{EdgeUpdate, ShardedFeed};
 use std::path::{Path, PathBuf};
 use std::process::exit;
+use subgraph_streams::core::QuerySpec;
 use subgraph_streams::prelude::*;
 
 struct Args {
@@ -34,15 +36,92 @@ impl Args {
             .map(|(_, v)| v.as_str())
     }
 
+    /// The value of a numeric flag, `default` when the flag is absent.
+    /// A value that does not parse (or is missing) exits 2 naming the
+    /// flag — never a silent fallback to the default.
     fn num<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        self.get(name)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+        let Some(v) = self.get(name) else {
+            return default;
+        };
+        v.parse().unwrap_or_else(|_| {
+            eprintln!("error: {} needs a number, got '{v}'", flag_name(name));
+            exit(2);
+        })
     }
 
     fn has(&self, name: &str) -> bool {
         self.flags.iter().any(|(k, _)| k == name)
     }
+
+    /// Exit 2 on the first flag `cmd` does not take.
+    fn reject_unknown(&self, cmd: &str, known: &[&str]) {
+        if let Some((k, _)) = self
+            .flags
+            .iter()
+            .find(|(k, _)| !known.contains(&k.as_str()))
+        {
+            eprintln!("error: sgs {cmd} does not take {}", flag_name(k));
+            exit(2);
+        }
+    }
+}
+
+/// A flag as the user typed it: `-r`, `--trials`.
+fn flag_name(name: &str) -> String {
+    if name.len() == 1 {
+        format!("-{name}")
+    } else {
+        format!("--{name}")
+    }
+}
+
+/// The flags each subcommand takes (`None` for an unknown command);
+/// anything else exits 2.
+fn known_flags(cmd: &str) -> Option<&'static [&'static str]> {
+    Some(match cmd {
+        "count" => &[
+            "edges",
+            "updates",
+            "pattern",
+            "queries",
+            "trials",
+            "eps",
+            "seed",
+            "turnstile",
+            "shards",
+            "block",
+            "l0",
+            "pin",
+            "reservoir",
+            "relaxed",
+            "broadcast",
+            "consumers",
+            "checkpoint-dir",
+            "snapshot-every",
+            "wal-block",
+            "bits",
+        ],
+        "serve" => &[
+            "dir",
+            "listen",
+            "unix",
+            "shards",
+            "wal-block",
+            "snapshot-every",
+            "ring-capacity",
+            "seed",
+            "block",
+            "l0",
+            "pin",
+            "eps",
+        ],
+        "recover" => &["dir", "bits"],
+        "search" => &["edges", "pattern", "eps", "seed", "max-trials"],
+        "cliques" => &["edges", "r", "eps", "instances", "seed"],
+        "info" => &["edges"],
+        "rho" => &["pattern"],
+        _ => return None,
+    })
 }
 
 fn parse_args(argv: &[String]) -> Args {
@@ -150,10 +229,19 @@ impl SourceSpec {
         }
     }
 
-    fn insertion_stream(&self, seed: u64) -> InsertionStream {
-        match self {
-            SourceSpec::Graph(g) => InsertionStream::from_graph(g, seed ^ 0x77),
-            SourceSpec::Updates { n, updates } => {
+    /// The `model` stream over this source, partitioned into `shards`
+    /// feed shards. A graph becomes an insertion order or a churned
+    /// turnstile stream; an update log replays in file order.
+    fn feed(&self, model: Model, seed: u64, shards: usize) -> ShardedFeed {
+        match (self, model) {
+            (SourceSpec::Graph(g), Model::Insertion) => {
+                ShardedFeed::partition(&InsertionStream::from_graph(g, seed ^ 0x77), shards)
+            }
+            (SourceSpec::Graph(g), Model::Turnstile) => ShardedFeed::partition(
+                &TurnstileStream::from_graph_with_churn(g, 1.0, seed ^ 0x77),
+                shards,
+            ),
+            (SourceSpec::Updates { n, updates }, Model::Insertion) => {
                 if self.has_deletions() {
                     eprintln!(
                         "error: --updates file contains deletions; insertion-model runs \
@@ -161,16 +249,11 @@ impl SourceSpec {
                     );
                     exit(2);
                 }
-                InsertionStream::from_edge_order(*n, updates.iter().map(|u| u.edge).collect())
+                let order = updates.iter().map(|u| u.edge).collect();
+                ShardedFeed::partition(&InsertionStream::from_edge_order(*n, order), shards)
             }
-        }
-    }
-
-    fn turnstile_stream(&self, seed: u64) -> TurnstileStream {
-        match self {
-            SourceSpec::Graph(g) => TurnstileStream::from_graph_with_churn(g, 1.0, seed ^ 0x77),
-            SourceSpec::Updates { n, updates } => {
-                TurnstileStream::from_updates(*n, updates.clone())
+            (SourceSpec::Updates { n, updates }, Model::Turnstile) => {
+                ShardedFeed::partition(&TurnstileStream::from_updates(*n, updates.clone()), shards)
             }
         }
     }
@@ -244,7 +327,7 @@ fn load_source(args: &Args) -> SourceSpec {
 /// CONFIG blob, so `sgs recover` can rebuild the identical run without
 /// re-reading the input graph (the WAL already holds the routed stream).
 struct CliConfig {
-    /// 0 = insertion, 1 = turnstile.
+    /// [`Model::tag`]: 0 = insertion, 1 = turnstile.
     model: u8,
     pattern: String,
     trials: u64,
@@ -275,7 +358,7 @@ fn encode_cli_config(c: &CliConfig) -> Vec<u8> {
 fn decode_cli_config(bytes: &[u8]) -> Result<CliConfig, PersistError> {
     let mut dec = Decoder::new(bytes);
     let model = dec.u8("config model")?;
-    if model > 1 {
+    if Model::from_tag(model).is_none() {
         return Err(dec.corrupt(format!("config model tag {model} is not 0/1")));
     }
     let pattern = dec.str("config pattern")?;
@@ -324,11 +407,7 @@ fn effective_query_line(raw: &str) -> Option<&str> {
 /// Malformed lines come back as structured errors (the caller routes
 /// them through the exit-2 [`fail_persist`] path with the file path
 /// attached) — never a panic, even for key=value-only lines.
-fn parse_query_line(
-    line: &str,
-    line_no: usize,
-    base_seed: u64,
-) -> Result<sgs_core::MultiQuerySpec, PersistError> {
+fn parse_query_line(line: &str, line_no: usize, base_seed: u64) -> Result<QuerySpec, PersistError> {
     let bad = |what: String| PersistError::corrupt(line_no as u64, what);
     let mut toks = line.split_whitespace();
     let Some(pat_tok) = toks.next() else {
@@ -345,12 +424,12 @@ fn parse_query_line(
             "queries line {line_no}: unknown pattern '{pat_tok}'"
         )));
     };
-    let mut spec = sgs_core::MultiQuerySpec {
+    let mut spec = QuerySpec {
         pattern,
         trials: 0,
         seed: base_seed.wrapping_add(line_no as u64),
         sampler: SamplerMode::Indexed,
-        reservoir: sgs_query::ReservoirMode::Skip,
+        reservoir: ReservoirMode::Skip,
     };
     for tok in toks {
         if tok == "relaxed" {
@@ -365,8 +444,8 @@ fn parse_query_line(
                 .map_err(|_| bad(format!("queries line {line_no}: bad seed '{v}'")))?;
         } else if let Some(v) = tok.strip_prefix("reservoir=") {
             spec.reservoir = match v {
-                "offer" => sgs_query::ReservoirMode::Offer,
-                "skip" => sgs_query::ReservoirMode::Skip,
+                "offer" => ReservoirMode::Offer,
+                "skip" => ReservoirMode::Skip,
                 other => {
                     return Err(bad(format!(
                         "queries line {line_no}: reservoir must be offer|skip, got '{other}'"
@@ -397,6 +476,29 @@ fn parse_l0(args: &Args) -> sgs_query::L0Mode {
     }
 }
 
+/// The stream model `--turnstile` selects.
+fn model_of(args: &Args) -> Model {
+    if args.has("turnstile") {
+        Model::Turnstile
+    } else {
+        Model::Insertion
+    }
+}
+
+/// `SGS_SHARD_THREADS=0|1` forces shard workers serial or threaded
+/// (unset = auto: threads when the host has >1 core); `--pin`
+/// additionally asks for one-core-per-worker affinity (Linux,
+/// best-effort). Neither changes answers — the env var is parsed only
+/// here, at the CLI boundary, and handed down as an explicit policy.
+fn exec_policy(args: &Args) -> ExecPolicy {
+    let p = ExecPolicy::from_env();
+    if args.has("pin") {
+        p.with_pin()
+    } else {
+        p
+    }
+}
+
 /// `sgs count --queries FILE`: serve every query in the list from one
 /// shared pass per round, reporting per-query estimates plus aggregate
 /// throughput and the admission report's slow-query diagnosis.
@@ -406,11 +508,11 @@ fn run_multi_count(args: &Args, queries_path: &str, seed: u64) {
     let eps: f64 = args.num("eps", 0.2);
     let shards: usize = args.num("shards", 1).max(1);
     let block: usize = args.num("block", sgs_query::exec::DEFAULT_BLOCK);
-    let opts = sgs_query::PassOpts::with_block(block).l0(parse_l0(args));
-    let turnstile = args.has("turnstile");
+    let opts = PassOpts::with_block(block).l0(parse_l0(args));
+    let model = model_of(args);
     let text = std::fs::read_to_string(queries_path)
         .unwrap_or_else(|e| fail_persist(PersistError::io(Path::new(queries_path), e)));
-    let mut specs: Vec<sgs_core::MultiQuerySpec> = Vec::new();
+    let mut specs: Vec<QuerySpec> = Vec::new();
     for (i, raw) in text.lines().enumerate() {
         let Some(line) = effective_query_line(raw) else {
             continue;
@@ -436,44 +538,15 @@ fn run_multi_count(args: &Args, queries_path: &str, seed: u64) {
             spec.trials = sgs_core::fgp::practical_trials(m, plan.rho(), eps, 1.0).min(2_000_000);
         }
     }
-    let policy = {
-        let p = sgs_query::ExecPolicy::from_env();
-        if args.has("pin") {
-            p.with_pin()
-        } else {
-            p
-        }
-    };
-    let mut arena = sgs_query::RouterArena::new();
+    let policy = exec_policy(args);
+    let mut arena = RouterArena::new();
     let t0 = std::time::Instant::now();
-    let (ests, admission) = if turnstile {
-        let s = src.turnstile_stream(seed);
-        let feed = sgs_stream::ShardedFeed::partition(&s, shards);
-        if args.has("broadcast") {
-            sgs_core::fgp::estimate_multi_turnstile_broadcast(
-                &specs,
-                &feed,
-                &mut arena,
-                opts,
-                sgs_query::BroadcastOpts::with_policy(policy),
-            )
-        } else {
-            sgs_core::fgp::estimate_multi_turnstile(&specs, &feed, &mut arena, opts, policy)
-        }
+    let feed = src.feed(model, seed, shards);
+    let (ests, admission) = if args.has("broadcast") {
+        let bcast = BroadcastOpts::with_policy(policy);
+        sgs_core::fgp::estimate_multi_broadcast(&specs, model, &feed, &mut arena, opts, bcast)
     } else {
-        let s = src.insertion_stream(seed);
-        let feed = sgs_stream::ShardedFeed::partition(&s, shards);
-        if args.has("broadcast") {
-            sgs_core::fgp::estimate_multi_insertion_broadcast(
-                &specs,
-                &feed,
-                &mut arena,
-                opts,
-                sgs_query::BroadcastOpts::with_policy(policy),
-            )
-        } else {
-            sgs_core::fgp::estimate_multi_insertion(&specs, &feed, &mut arena, opts, policy)
-        }
+        sgs_core::fgp::estimate_multi(&specs, model, &feed, &mut arena, opts, policy)
     }
     .expect("plans validated above");
     let elapsed = t0.elapsed();
@@ -542,6 +615,209 @@ fn bits_suffix(enabled: bool, estimate: f64) -> String {
     }
 }
 
+/// `sgs count --pattern P`: one estimate, on the sharded engine, the
+/// broadcast ring (`--broadcast`), or durably (`--checkpoint-dir`).
+fn run_count(args: &Args, seed: u64) {
+    let pattern = need_pattern(args);
+    let src = load_source(args);
+    let m = src.live_edges();
+    let eps: f64 = args.num("eps", 0.2);
+    let plan = match SamplerPlan::new(&pattern) {
+        Some(p) => p,
+        None => {
+            eprintln!("error: pattern has an isolated vertex (no edge cover)");
+            exit(2);
+        }
+    };
+    let default_trials = sgs_core::fgp::practical_trials(m, plan.rho(), eps, 1.0).min(2_000_000);
+    let trials: usize = args.num("trials", default_trials);
+    // --shards N fans the stream out over N hash-partitioned feed shards
+    // (one router + worker per shard); answers are merged exactly, so the
+    // estimate is bit-identical to the single-stream run with the same
+    // seed.
+    let shards: usize = args.num("shards", 1).max(1);
+    // --block B feeds each pass in blocks of B updates (batched index
+    // probes, ℓ₀ lane loops); 0 forces the scalar per-update path.
+    // Bit-identical either way — the knob only changes throughput.
+    let block: usize = args.num("block", sgs_query::exec::DEFAULT_BLOCK);
+    let model = model_of(args);
+    // Turnstile trials always run the relaxed query mix on ℓ₀-samplers
+    // (Definition 10 has no indexed f3 and no reservoirs), so --relaxed
+    // and --reservoir would silently change nothing the flags promise:
+    // reject them loudly rather than drop them.
+    if model == Model::Turnstile && (args.has("relaxed") || args.has("reservoir")) {
+        eprintln!(
+            "error: --relaxed/--reservoir only apply to insertion runs \
+             (turnstile trials are always relaxed, on ℓ₀-samplers)"
+        );
+        exit(2);
+    }
+    // --reservoir {offer,skip} picks the relaxed-f3 reservoir acceptance
+    // scheme on insertion passes: `skip` (default) draws one coin per
+    // acceptance via the exact skip-ahead inverse transform, `offer`
+    // replays the per-offer scalar oracle. Distribution-equivalent, not
+    // byte-identical.
+    let reservoir = match args.get("reservoir").unwrap_or("skip") {
+        "offer" => ReservoirMode::Offer,
+        "skip" | "" => ReservoirMode::Skip,
+        other => {
+            eprintln!("error: --reservoir must be 'offer' or 'skip', got '{other}'");
+            exit(2);
+        }
+    };
+    // --relaxed runs the insertion trials on the relaxed query mix
+    // (RandomNeighbor instead of arrival-order watchers) — the workload
+    // whose passes the reservoir knob accelerates.
+    let spec = QuerySpec {
+        sampler: if args.has("relaxed") {
+            SamplerMode::Relaxed
+        } else {
+            SamplerMode::Indexed
+        },
+        reservoir,
+        ..QuerySpec::new(pattern.clone(), trials, seed)
+    };
+    let opts = PassOpts::with_block(block).l0(parse_l0(args));
+    let policy = exec_policy(args);
+    let feed = src.feed(model, seed, shards);
+    let mut arena = RouterArena::new();
+    let shard_word = format!("{shards} shard{}", if shards == 1 { "" } else { "s" });
+    let bits = args.has("bits");
+    // --broadcast runs the serving path: ONE ingest per logical pass fans
+    // out over a bounded ring to the shard routers plus side consumers
+    // (TRIÈST baseline, exact CSR oracle, a raw pass counter, and
+    // --consumers N extra raw counters), all riding the estimator's first
+    // pass — no private replays. The estimate stays bit-identical.
+    if args.has("broadcast") {
+        if args.has("checkpoint-dir") {
+            eprintln!(
+                "error: --checkpoint-dir does not combine with --broadcast \
+                 (checkpoint the plain sharded run)"
+            );
+            exit(2);
+        }
+        let extra_raw: usize = args.num("consumers", 0);
+        let consumers = sgs_core::fgp::ConsumerSet {
+            triest_capacity: Some(1024.min(m.max(2))),
+            exact: true,
+            extra_raw,
+        };
+        let bcast = BroadcastOpts::with_policy(policy);
+        let bundle = sgs_core::fgp::estimate_broadcast(
+            &spec, model, &feed, &mut arena, opts, consumers, bcast,
+        )
+        .expect("plan validated above");
+        let est = &bundle.estimate;
+        println!(
+            "#{} ≈ {:.1}   (hits {}/{}, rho={}, {} passes, m={m}, {shard_word}, broadcast){}",
+            pattern.name(),
+            est.estimate,
+            est.hits,
+            est.trials,
+            plan.rho(),
+            est.report.passes,
+            bits_suffix(bits, est.estimate),
+        );
+        if let Some(t) = &bundle.triest {
+            println!("  triest baseline ≈ {:.1} (same ingest)", t.estimate);
+        }
+        if let Some(x) = bundle.exact {
+            println!("  exact (CSR oracle, same ingest) = {x}");
+        }
+        println!(
+            "  raw counter: {} updates; {} extra consumer{} attached",
+            bundle.raw_updates,
+            extra_raw,
+            if extra_raw == 1 { "" } else { "s" },
+        );
+        return;
+    }
+    // --checkpoint-dir D makes the run durable: the routed stream is
+    // sealed into a write-ahead log in D before estimation starts, and
+    // estimator state is snapshotted every --snapshot-every delivery
+    // blocks (0 = WAL only). A killed run resumes with `sgs recover D` to
+    // the byte-identical estimate the uninterrupted run produces.
+    if let Some(dirs) = args.get("checkpoint-dir") {
+        let dir = PathBuf::from(dirs);
+        let snapshot_every: u64 = args.num("snapshot-every", sgs_query::DEFAULT_SNAPSHOT_EVERY);
+        // --wal-block W sets the WAL record granularity (updates per
+        // delivery block); snapshots land every `snapshot_every` such
+        // blocks, so small streams want a small W to see any snapshot.
+        let wal_block: usize = args.num("wal-block", sgs_query::DEFAULT_CHECKPOINT_CHUNK);
+        let cfg = CliConfig {
+            model: model.tag(),
+            pattern: args.get("pattern").unwrap_or_default().to_string(),
+            trials: trials as u64,
+            seed,
+            shards: shards as u64,
+            block: block as u64,
+            reservoir: match reservoir {
+                ReservoirMode::Offer => 0,
+                ReservoirMode::Skip => 1,
+            },
+            relaxed: args.has("relaxed") as u8,
+            snapshot_every,
+        };
+        let run: Result<_, PersistError> = (|| {
+            let mut session =
+                sgs_query::CheckpointSession::create(&dir, &feed, snapshot_every, wal_block)?;
+            write_config(&dir, &encode_cli_config(&cfg))?;
+            let est = sgs_core::fgp::estimate_checkpointed(
+                &spec,
+                model,
+                &feed,
+                &mut arena,
+                opts,
+                &mut session,
+            )?;
+            Ok((est, session.snapshots_written()))
+        })();
+        let (est, snapshots) = match run {
+            Ok((e, s)) => (e.expect("plan validated above"), s),
+            Err(e) => fail_persist(e),
+        };
+        println!(
+            "#{} ≈ {:.1}   (hits {}/{}, rho={}, {} passes, m={m}, {shard_word}){}",
+            pattern.name(),
+            est.estimate,
+            est.hits,
+            est.trials,
+            plan.rho(),
+            est.report.passes,
+            bits_suffix(bits, est.estimate),
+        );
+        println!(
+            "  checkpointed: WAL + {snapshots} snapshot{} in {} \
+             (recover with `sgs recover {}`)",
+            if snapshots == 1 { "" } else { "s" },
+            dir.display(),
+            dir.display(),
+        );
+        return;
+    }
+    let est = sgs_core::fgp::estimate_on_feed(&spec, model, &feed, &mut arena, opts, policy)
+        .expect("plan validated above");
+    println!(
+        "#{} ≈ {:.1}   (hits {}/{}, rho={}, {} passes, m={m}, {shard_word}, block {}, reservoir {}){}",
+        pattern.name(),
+        est.estimate,
+        est.hits,
+        est.trials,
+        plan.rho(),
+        est.report.passes,
+        if block <= 1 {
+            "scalar".to_string()
+        } else {
+            block.to_string()
+        },
+        match model {
+            Model::Insertion => format!("{reservoir:?}").to_lowercase(),
+            Model::Turnstile => "l0".to_string(),
+        },
+        bits_suffix(bits, est.estimate),
+    );
+}
+
 fn need_pattern(args: &Args) -> Pattern {
     let Some(ps) = args.get("pattern") else {
         eprintln!("error: --pattern NAME is required");
@@ -563,6 +839,9 @@ fn main() {
         exit(2);
     };
     let args = parse_args(&argv[1..]);
+    if let Some(known) = known_flags(&cmd) {
+        args.reject_unknown(&cmd, known);
+    }
     let seed: u64 = args.num("seed", 1);
 
     match cmd.as_str() {
@@ -572,306 +851,10 @@ fn main() {
             // [relaxed]) from ONE shared pass per round — the
             // multiplexed serving path. Each answer is byte-identical
             // to the equivalent solo `sgs count` invocation.
-            if let Some(qpath) = args.get("queries") {
-                let qpath = qpath.to_string();
-                run_multi_count(&args, &qpath, seed);
-                return;
+            match args.get("queries") {
+                Some(qpath) => run_multi_count(&args, qpath, seed),
+                None => run_count(&args, seed),
             }
-            let pattern = need_pattern(&args);
-            let src = load_source(&args);
-            let m = src.live_edges();
-            let eps: f64 = args.num("eps", 0.2);
-            let plan = match SamplerPlan::new(&pattern) {
-                Some(p) => p,
-                None => {
-                    eprintln!("error: pattern has an isolated vertex (no edge cover)");
-                    exit(2);
-                }
-            };
-            let default_trials =
-                sgs_core::fgp::practical_trials(m, plan.rho(), eps, 1.0).min(2_000_000);
-            let trials: usize = args.num("trials", default_trials);
-            // --shards N fans the stream out over N hash-partitioned
-            // feed shards (one router + worker per shard); answers are
-            // merged exactly, so the estimate is bit-identical to the
-            // single-stream run with the same seed.
-            let shards: usize = args.num("shards", 1).max(1);
-            // --block B feeds each pass in blocks of B updates (batched
-            // index probes, ℓ₀ lane loops); 0 forces the scalar
-            // per-update path. Bit-identical either way — the knob only
-            // changes throughput. Default: sgs_query::exec::DEFAULT_BLOCK.
-            let block: usize = args.num("block", sgs_query::exec::DEFAULT_BLOCK);
-            // --reservoir {offer,skip} picks the relaxed-f3 reservoir
-            // acceptance scheme on insertion passes: `skip` (default)
-            // draws one coin per acceptance via the exact skip-ahead
-            // inverse transform, `offer` replays the per-offer scalar
-            // oracle. Distribution-equivalent, not byte-identical.
-            let reservoir = match args.get("reservoir").unwrap_or("skip") {
-                "offer" => sgs_query::ReservoirMode::Offer,
-                "skip" | "" => sgs_query::ReservoirMode::Skip,
-                other => {
-                    eprintln!("error: --reservoir must be 'offer' or 'skip', got '{other}'");
-                    exit(2);
-                }
-            };
-            // --relaxed runs the insertion trials on the relaxed query
-            // mix (RandomNeighbor instead of arrival-order watchers) —
-            // the workload whose passes the reservoir knob accelerates.
-            let sampler = if args.has("relaxed") {
-                SamplerMode::Relaxed
-            } else {
-                SamplerMode::Indexed
-            };
-            let opts = sgs_query::PassOpts::with_block(block)
-                .reservoir(reservoir)
-                .l0(parse_l0(&args));
-            // SGS_SHARD_THREADS=0|1 forces shard workers serial or
-            // threaded (unset = auto: threads when the host has >1
-            // core); --pin additionally asks for one-core-per-worker
-            // affinity (Linux, best-effort). Neither changes answers —
-            // the env var is parsed only here, at the CLI boundary, and
-            // handed down as an explicit ExecPolicy.
-            let policy = {
-                let p = sgs_query::ExecPolicy::from_env();
-                if args.has("pin") {
-                    p.with_pin()
-                } else {
-                    p
-                }
-            };
-            // --broadcast runs the serving path: ONE ingest per logical
-            // pass fans out over a bounded ring to the shard routers
-            // plus side consumers (TRIÈST baseline, exact CSR oracle, a
-            // raw pass counter, and --consumers N extra raw counters),
-            // all riding the estimator's first pass — no private
-            // replays. The estimate stays bit-identical.
-            if args.has("broadcast") {
-                let extra_raw: usize = args.num("consumers", 0);
-                let turnstile = args.has("turnstile");
-                if turnstile && (args.has("relaxed") || args.has("reservoir")) {
-                    eprintln!(
-                        "error: --relaxed/--reservoir only apply to insertion runs \
-                         (turnstile trials are always relaxed, on ℓ₀-samplers)"
-                    );
-                    exit(2);
-                }
-                let consumers = sgs_core::fgp::ConsumerSet {
-                    triest_capacity: if turnstile {
-                        None
-                    } else {
-                        Some(1024.min(m.max(2)))
-                    },
-                    exact: true,
-                    extra_raw,
-                };
-                let mut arena = sgs_query::RouterArena::new();
-                let bcast = sgs_query::BroadcastOpts::with_policy(policy);
-                let bundle = if turnstile {
-                    let s = src.turnstile_stream(seed);
-                    let feed = sgs_stream::ShardedFeed::partition(&s, shards);
-                    sgs_core::fgp::estimate_turnstile_broadcast_with_exec(
-                        &pattern, &feed, trials, seed, &mut arena, opts, consumers, bcast,
-                    )
-                } else {
-                    let s = src.insertion_stream(seed);
-                    let feed = sgs_stream::ShardedFeed::partition(&s, shards);
-                    sgs_core::fgp::estimate_insertion_broadcast_with_exec(
-                        &pattern, &feed, trials, seed, &mut arena, opts, sampler, consumers, bcast,
-                    )
-                }
-                .expect("plan validated above");
-                let est = &bundle.estimate;
-                println!(
-                    "#{} ≈ {:.1}   (hits {}/{}, rho={}, {} passes, m={}, {} shard{}, broadcast){}",
-                    pattern.name(),
-                    est.estimate,
-                    est.hits,
-                    est.trials,
-                    plan.rho(),
-                    est.report.passes,
-                    m,
-                    shards,
-                    if shards == 1 { "" } else { "s" },
-                    bits_suffix(args.has("bits"), est.estimate),
-                );
-                if let Some(t) = &bundle.triest {
-                    println!("  triest baseline ≈ {:.1} (same ingest)", t.estimate);
-                }
-                if let Some(x) = bundle.exact {
-                    println!("  exact (CSR oracle, same ingest) = {x}");
-                }
-                println!(
-                    "  raw counter: {} updates; {} extra consumer{} attached",
-                    bundle.raw_updates,
-                    extra_raw,
-                    if extra_raw == 1 { "" } else { "s" },
-                );
-                return;
-            }
-            // --checkpoint-dir D makes the run durable: the routed
-            // stream is sealed into a write-ahead log in D before
-            // estimation starts, and estimator state is snapshotted
-            // every --snapshot-every delivery blocks (0 = WAL only).
-            // A killed run resumes with `sgs recover D` to the
-            // byte-identical estimate the uninterrupted run produces.
-            if let Some(dirs) = args.get("checkpoint-dir") {
-                if args.has("broadcast") {
-                    eprintln!(
-                        "error: --checkpoint-dir does not combine with --broadcast \
-                         (checkpoint the plain sharded run)"
-                    );
-                    exit(2);
-                }
-                let turnstile = args.has("turnstile");
-                if turnstile && (args.has("relaxed") || args.has("reservoir")) {
-                    eprintln!(
-                        "error: --relaxed/--reservoir only apply to insertion runs \
-                         (turnstile trials are always relaxed, on ℓ₀-samplers)"
-                    );
-                    exit(2);
-                }
-                let dir = PathBuf::from(dirs);
-                let snapshot_every: u64 =
-                    args.num("snapshot-every", sgs_query::DEFAULT_SNAPSHOT_EVERY);
-                // --wal-block W sets the WAL record granularity (updates
-                // per delivery block); snapshots land every
-                // `snapshot_every` such blocks, so small streams want a
-                // small W to see any snapshot at all.
-                let wal_block: usize = args.num("wal-block", sgs_query::DEFAULT_CHECKPOINT_CHUNK);
-                let feed = if turnstile {
-                    let s = src.turnstile_stream(seed);
-                    sgs_stream::ShardedFeed::partition(&s, shards)
-                } else {
-                    let s = src.insertion_stream(seed);
-                    sgs_stream::ShardedFeed::partition(&s, shards)
-                };
-                let cfg = CliConfig {
-                    model: turnstile as u8,
-                    pattern: args.get("pattern").unwrap_or_default().to_string(),
-                    trials: trials as u64,
-                    seed,
-                    shards: shards as u64,
-                    block: block as u64,
-                    reservoir: match reservoir {
-                        sgs_query::ReservoirMode::Offer => 0,
-                        sgs_query::ReservoirMode::Skip => 1,
-                    },
-                    relaxed: args.has("relaxed") as u8,
-                    snapshot_every,
-                };
-                let run: Result<_, PersistError> = (|| {
-                    let mut session = sgs_query::CheckpointSession::create(
-                        &dir,
-                        &feed,
-                        snapshot_every,
-                        wal_block,
-                    )?;
-                    write_config(&dir, &encode_cli_config(&cfg))?;
-                    let mut arena = sgs_query::RouterArena::new();
-                    let est = if turnstile {
-                        sgs_core::fgp::estimate_turnstile_checkpointed(
-                            &pattern,
-                            &feed,
-                            trials,
-                            seed,
-                            &mut arena,
-                            opts,
-                            &mut session,
-                        )?
-                    } else {
-                        sgs_core::fgp::estimate_insertion_checkpointed(
-                            &pattern,
-                            &feed,
-                            trials,
-                            seed,
-                            &mut arena,
-                            opts,
-                            sampler,
-                            &mut session,
-                        )?
-                    };
-                    Ok((est, session.snapshots_written()))
-                })();
-                let (est, snapshots) = match run {
-                    Ok((e, s)) => (e.expect("plan validated above"), s),
-                    Err(e) => fail_persist(e),
-                };
-                println!(
-                    "#{} ≈ {:.1}   (hits {}/{}, rho={}, {} passes, m={}, {} shard{}){}",
-                    pattern.name(),
-                    est.estimate,
-                    est.hits,
-                    est.trials,
-                    plan.rho(),
-                    est.report.passes,
-                    m,
-                    shards,
-                    if shards == 1 { "" } else { "s" },
-                    bits_suffix(args.has("bits"), est.estimate),
-                );
-                println!(
-                    "  checkpointed: WAL + {snapshots} snapshot{} in {} \
-                     (recover with `sgs recover {}`)",
-                    if snapshots == 1 { "" } else { "s" },
-                    dir.display(),
-                    dir.display(),
-                );
-                return;
-            }
-            let est = if args.has("turnstile") {
-                // Turnstile trials always run the relaxed query mix on
-                // ℓ₀-samplers (Definition 10 has no indexed f3 and no
-                // reservoirs), so --relaxed and --reservoir would
-                // silently change nothing the flags promise: reject
-                // them loudly rather than drop them.
-                if args.has("relaxed") {
-                    eprintln!(
-                        "error: --relaxed only applies to insertion runs \
-                         (turnstile trials are always relaxed, on ℓ₀-samplers)"
-                    );
-                    exit(2);
-                }
-                if args.has("reservoir") {
-                    eprintln!(
-                        "error: --reservoir only applies to insertion runs \
-                         (turnstile f3 is answered by ℓ₀-samplers, not reservoirs)"
-                    );
-                    exit(2);
-                }
-                let s = src.turnstile_stream(seed);
-                sgs_core::fgp::estimate_turnstile_threaded_with_exec(
-                    &pattern, &s, trials, shards, seed, opts, policy,
-                )
-            } else {
-                let s = src.insertion_stream(seed);
-                sgs_core::fgp::estimate_insertion_threaded_with_exec(
-                    &pattern, &s, trials, shards, seed, opts, sampler, policy,
-                )
-            }
-            .expect("plan validated above");
-            println!(
-                "#{} ≈ {:.1}   (hits {}/{}, rho={}, {} passes, m={}, {} shard{}, block {}, reservoir {}){}",
-                pattern.name(),
-                est.estimate,
-                est.hits,
-                est.trials,
-                plan.rho(),
-                est.report.passes,
-                m,
-                shards,
-                if shards == 1 { "" } else { "s" },
-                if block <= 1 {
-                    "scalar".to_string()
-                } else {
-                    block.to_string()
-                },
-                if args.has("turnstile") {
-                    "l0".to_string()
-                } else {
-                    format!("{reservoir:?}").to_lowercase()
-                },
-                bits_suffix(args.has("bits"), est.estimate),
-            );
         }
         "serve" => {
             // `sgs serve DIR` — a long-lived node: WAL-backed ingest
@@ -924,14 +907,7 @@ fn main() {
                 Ok(None) => flag_cfg,
                 Err(e) => fail_persist(e),
             };
-            let policy = {
-                let p = sgs_query::ExecPolicy::from_env();
-                if args.has("pin") {
-                    p.with_pin()
-                } else {
-                    p
-                }
-            };
+            let policy = exec_policy(&args);
             let node =
                 sgs_query::ServerNode::open(&dir, cfg, policy).unwrap_or_else(|e| fail_persist(e));
             if let Some(t) = node.truncation() {
@@ -985,10 +961,8 @@ fn main() {
             let _ = std::io::stdout().flush();
             let serve_opts = sgs_core::ServeOptions {
                 policy,
-                pass: sgs_query::PassOpts::with_block(
-                    args.num("block", sgs_query::exec::DEFAULT_BLOCK),
-                )
-                .l0(parse_l0(&args)),
+                pass: PassOpts::with_block(args.num("block", sgs_query::exec::DEFAULT_BLOCK))
+                    .l0(parse_l0(&args)),
                 eps: args.num("eps", 0.2),
             };
             let snap = sgs_core::run_server(node, listeners, serve_opts)
@@ -1106,41 +1080,32 @@ fn main() {
             } else {
                 println!("no snapshot found; replaying the run from the sealed WAL");
             }
-            let opts = sgs_query::PassOpts::with_block(cfg.block as usize).reservoir(
-                if cfg.reservoir == 0 {
-                    sgs_query::ReservoirMode::Offer
-                } else {
-                    sgs_query::ReservoirMode::Skip
-                },
-            );
-            let mut arena = sgs_query::RouterArena::new();
-            let est = if cfg.model == 1 {
-                sgs_core::fgp::estimate_turnstile_checkpointed(
-                    &pattern,
-                    &feed,
-                    cfg.trials as usize,
-                    cfg.seed,
-                    &mut arena,
-                    opts,
-                    &mut session,
-                )
-            } else {
-                let sampler = if cfg.relaxed == 1 {
+            let Some(model) = Model::from_tag(cfg.model) else {
+                unreachable!("decode_cli_config validates the model tag");
+            };
+            let spec = QuerySpec {
+                sampler: if cfg.relaxed == 1 {
                     SamplerMode::Relaxed
                 } else {
                     SamplerMode::Indexed
-                };
-                sgs_core::fgp::estimate_insertion_checkpointed(
-                    &pattern,
-                    &feed,
-                    cfg.trials as usize,
-                    cfg.seed,
-                    &mut arena,
-                    opts,
-                    sampler,
-                    &mut session,
-                )
-            }
+                },
+                reservoir: if cfg.reservoir == 0 {
+                    ReservoirMode::Offer
+                } else {
+                    ReservoirMode::Skip
+                },
+                ..QuerySpec::new(pattern.clone(), cfg.trials as usize, cfg.seed)
+            };
+            let opts = PassOpts::with_block(cfg.block as usize);
+            let mut arena = RouterArena::new();
+            let est = sgs_core::fgp::estimate_checkpointed(
+                &spec,
+                model,
+                &feed,
+                &mut arena,
+                opts,
+                &mut session,
+            )
             .unwrap_or_else(|e| fail_persist(e))
             .expect("plan validated above");
             println!(

@@ -99,20 +99,26 @@ fn pass_counts_unaffected_by_order() {
 /// uniform over.
 #[test]
 fn relaxed_estimates_order_independent_in_both_reservoir_modes() {
-    use sgs_query::{PassOpts, ReservoirMode};
+    use sgs_core::QuerySpec;
+    use sgs_query::{ExecPolicy, Model, PassOpts, ReservoirMode, RouterArena};
+    use sgs_stream::ShardedFeed;
     let g = sgs_graph::gen::gnm(40, 240, 1);
     let exact = sgs_graph::exact::triangles::count_triangles(&g);
     assert!(exact > 50);
     for mode in [ReservoirMode::Offer, ReservoirMode::Skip] {
         for (name, stream) in orders(&g) {
-            let est = sgs_core::fgp::estimate_insertion_threaded_with_opts(
-                &Pattern::triangle(),
-                &stream,
-                25_000,
-                1,
-                2,
-                PassOpts::with_reservoir(mode),
-                SamplerMode::Relaxed,
+            let spec = QuerySpec {
+                sampler: SamplerMode::Relaxed,
+                reservoir: mode,
+                ..QuerySpec::new(Pattern::triangle(), 25_000, 2)
+            };
+            let est = sgs_core::fgp::estimate_on_feed(
+                &spec,
+                Model::Insertion,
+                &ShardedFeed::partition(&stream, 1),
+                &mut RouterArena::new(),
+                PassOpts::default(),
+                ExecPolicy::default(),
             )
             .unwrap();
             assert_eq!(est.report.passes, 3);
@@ -132,8 +138,8 @@ fn relaxed_estimates_order_independent_in_both_reservoir_modes() {
 /// answers and a skip-mode neighbor answer that must be a true neighbor.
 #[test]
 fn duplicate_heavy_streams_keep_reservoir_accounting_exact() {
-    use sgs_query::exec::{answer_insertion_batch_with_opts, PassOpts};
-    use sgs_query::{Answer, Query, ReservoirMode};
+    use sgs_query::exec::{answer_batch, PassOpts};
+    use sgs_query::{Answer, Model, Query, ReservoirMode};
     let g = sgs_graph::gen::gnm(12, 30, 9);
     let mut edges = g.edge_vec();
     let copy = edges.clone();
@@ -150,13 +156,15 @@ fn duplicate_heavy_streams_keep_reservoir_accounting_exact() {
         })
         .collect();
     for seed in 0..40u64 {
-        let (offer, _) = answer_insertion_batch_with_opts(
+        let (offer, _) = answer_batch(
+            Model::Insertion,
             &batch,
             &stream,
             seed,
             PassOpts::with_reservoir(ReservoirMode::Offer),
         );
-        let (skip, _) = answer_insertion_batch_with_opts(
+        let (skip, _) = answer_batch(
+            Model::Insertion,
             &batch,
             &stream,
             seed,
@@ -191,8 +199,8 @@ fn duplicate_heavy_streams_keep_reservoir_accounting_exact() {
 /// *touched*, never what any row accumulates.
 #[test]
 fn dispatch_feed_is_duplicate_and_cancellation_independent() {
-    use sgs_query::exec::answer_turnstile_batch_with_opts;
-    use sgs_query::{L0Mode, PassOpts, Query};
+    use sgs_query::exec::answer_batch;
+    use sgs_query::{L0Mode, Model, PassOpts, Query};
     use sgs_stream::update::EdgeUpdate;
 
     let g = sgs_graph::gen::gnm(14, 40, 41);
@@ -223,12 +231,11 @@ fn dispatch_feed_is_duplicate_and_cancellation_independent() {
         .chain([Query::EdgeCount, Query::RandomEdge])
         .collect();
     for seed in 0..10u64 {
-        let (oracle, _) =
-            answer_turnstile_batch_with_opts(&batch, &stream, seed, PassOpts::oracle());
+        let (oracle, _) = answer_batch(Model::Turnstile, &batch, &stream, seed, PassOpts::oracle());
         for block in [0usize, 1, 13, 16, 64] {
             for mode in [L0Mode::Predicated, L0Mode::Dispatch] {
                 let opts = PassOpts::with_block(block).l0(mode);
-                let (got, _) = answer_turnstile_batch_with_opts(&batch, &stream, seed, opts);
+                let (got, _) = answer_batch(Model::Turnstile, &batch, &stream, seed, opts);
                 assert_eq!(got, oracle, "seed {seed} block {block} {mode:?}");
             }
         }

@@ -25,18 +25,12 @@
 
 use sgs_core::baselines::exact_stream::count_exact;
 use sgs_core::baselines::triest::estimate_triest;
-use sgs_core::fgp::{
-    estimate_insertion_broadcast_with_opts, estimate_turnstile_broadcast_with_opts, triest_seed,
-    ConsumerSet,
-};
-use sgs_core::{SamplerMode, SamplerPlan, SubgraphSampler};
-use sgs_query::broadcast::{
-    run_insertion_broadcast_with_opts, run_turnstile_broadcast_with_opts, BroadcastOpts,
-};
-use sgs_query::exec::run_insertion_with_opts;
+use sgs_core::fgp::{estimate_broadcast, estimate_on_feed, triest_seed, ConsumerSet};
+use sgs_core::{QuerySpec, SamplerMode, SamplerPlan, SubgraphSampler};
+use sgs_query::broadcast::{run_broadcast, BroadcastOpts};
 use sgs_query::reference::run_insertion_reference;
-use sgs_query::sharded::run_turnstile_sharded_with_block;
-use sgs_query::{ExecPolicy, Parallel, PassOpts, ReservoirMode, RouterArena};
+use sgs_query::sharded::run_sharded;
+use sgs_query::{ExecPolicy, Model, Parallel, PassOpts, ReservoirMode, RouterArena};
 use sgs_stream::hash::split_seed;
 use sgs_stream::sharded::shard_of_vertex;
 use sgs_stream::{InsertionStream, ShardMap, ShardedFeed, TurnstileStream};
@@ -89,12 +83,20 @@ fn broadcast_insertion_matches_single_stream_all_modes_and_blocks() {
             for &block in &BLOCK_SWEEP {
                 let opts = PassOpts::with_block(block).reservoir(mode);
                 let sampler = SamplerMode::Relaxed; // exercises reservoirs
-                let (want, want_rep) =
-                    run_insertion_with_opts(bank(&pattern, sampler, trials, 5), &ins, 0xb0, opts);
+                let (want, want_rep) = run_sharded(
+                    Model::Insertion,
+                    bank(&pattern, sampler, trials, 5),
+                    &ShardedFeed::partition(&ins, 1),
+                    0xb0,
+                    &mut RouterArena::new(),
+                    opts,
+                    ExecPolicy::default(),
+                );
                 for &shards in &SHARD_SWEEP {
                     let feed = ShardedFeed::partition(&ins, shards);
                     let mut arena = RouterArena::new();
-                    let (got, got_rep) = run_insertion_broadcast_with_opts(
+                    let (got, got_rep) = run_broadcast(
+                        Model::Insertion,
                         bank(&pattern, sampler, trials, 5),
                         &feed,
                         0xb0,
@@ -102,6 +104,7 @@ fn broadcast_insertion_matches_single_stream_all_modes_and_blocks() {
                         opts,
                         BroadcastOpts::default(),
                         &mut [],
+                        None,
                     );
                     assert_eq!(
                         got, want,
@@ -129,7 +132,8 @@ fn broadcast_offer_mode_matches_frozen_reference() {
     for &shards in &SHARD_SWEEP {
         let feed = ShardedFeed::partition(&ins, shards);
         let mut arena = RouterArena::new();
-        let (got, _) = run_insertion_broadcast_with_opts(
+        let (got, _) = run_broadcast(
+            Model::Insertion,
             bank(&Pattern::triangle(), SamplerMode::Indexed, 300, 7),
             &feed,
             0xf0,
@@ -137,6 +141,7 @@ fn broadcast_offer_mode_matches_frozen_reference() {
             PassOpts::oracle(),
             BroadcastOpts::default(),
             &mut [],
+            None,
         );
         assert_eq!(got, want, "{shards} shards vs frozen reference");
     }
@@ -152,17 +157,20 @@ fn broadcast_turnstile_matches_single_stream_all_blocks() {
             // (== `run_turnstile` at the default block).
             let single_feed = ShardedFeed::partition(&tst, 1);
             let mut single_arena = RouterArena::new();
-            let (want, _) = run_turnstile_sharded_with_block(
+            let (want, _) = run_sharded(
+                Model::Turnstile,
                 bank(&pattern, SamplerMode::Relaxed, trials, 3),
                 &single_feed,
                 0x71,
                 &mut single_arena,
-                block,
+                PassOpts::with_block(block),
+                ExecPolicy::default(),
             );
             for &shards in &SHARD_SWEEP {
                 let feed = ShardedFeed::partition(&tst, shards);
                 let mut arena = RouterArena::new();
-                let (got, _) = run_turnstile_broadcast_with_opts(
+                let (got, _) = run_broadcast(
+                    Model::Turnstile,
                     bank(&pattern, SamplerMode::Relaxed, trials, 3),
                     &feed,
                     0x71,
@@ -170,6 +178,7 @@ fn broadcast_turnstile_matches_single_stream_all_blocks() {
                     PassOpts::with_block(block),
                     BroadcastOpts::default(),
                     &mut [],
+                    None,
                 );
                 assert_eq!(got, want, "{pattern:?}, block {block}, {shards} shards");
             }
@@ -187,7 +196,8 @@ fn ring_geometry_never_changes_answers() {
     let feed = ShardedFeed::partition(&ins, 3);
     let mut arena = RouterArena::new();
     let mk = || bank(&Pattern::triangle(), SamplerMode::Relaxed, 200, 11);
-    let (want, _) = run_insertion_broadcast_with_opts(
+    let (want, _) = run_broadcast(
+        Model::Insertion,
         mk(),
         &feed,
         0xaa,
@@ -195,9 +205,11 @@ fn ring_geometry_never_changes_answers() {
         PassOpts::default(),
         BroadcastOpts::default(),
         &mut [],
+        None,
     );
     for (capacity, block) in [(1usize, 3usize), (2, 1), (4, 1000), (1, 256)] {
-        let (got, _) = run_insertion_broadcast_with_opts(
+        let (got, _) = run_broadcast(
+            Model::Insertion,
             mk(),
             &feed,
             0xaa,
@@ -209,6 +221,7 @@ fn ring_geometry_never_changes_answers() {
                 ..BroadcastOpts::default()
             },
             &mut [],
+            None,
         );
         assert_eq!(got, want, "ring capacity {capacity}, block {block}");
     }
@@ -228,23 +241,27 @@ fn insertion_bundle_consumers_match_their_private_counterparts() {
     let private_triest = estimate_triest(&ins, 64, triest_seed(91));
     for mode in [ReservoirMode::Offer, ReservoirMode::Skip] {
         for &block in &[0usize, 128] {
-            let opts = PassOpts::with_block(block).reservoir(mode);
+            let opts = PassOpts::with_block(block);
+            let spec = QuerySpec {
+                sampler: SamplerMode::Relaxed,
+                reservoir: mode,
+                ..QuerySpec::new(Pattern::triangle(), 800, 91)
+            };
             for &shards in &SHARD_SWEEP {
                 let feed = ShardedFeed::partition(&ins, shards);
                 let mut arena = RouterArena::new();
-                let bundle = estimate_insertion_broadcast_with_opts(
-                    &Pattern::triangle(),
+                let bundle = estimate_broadcast(
+                    &spec,
+                    Model::Insertion,
                     &feed,
-                    800,
-                    91,
                     &mut arena,
                     opts,
-                    SamplerMode::Relaxed,
                     ConsumerSet {
                         triest_capacity: Some(64),
                         exact: true,
                         extra_raw: 2,
                     },
+                    BroadcastOpts::default(),
                 )
                 .unwrap();
                 let tag = format!("{mode:?}, block {block}, {shards} shards");
@@ -263,14 +280,13 @@ fn insertion_bundle_consumers_match_their_private_counterparts() {
                 assert_eq!(bundle.raw_updates, ins.len() as u64, "{tag}");
                 assert_eq!(bundle.extra_raw, vec![ins.len() as u64; 2], "{tag}");
                 // And the estimator itself is unchanged by the riders.
-                let single = sgs_core::fgp::estimate_insertion_threaded_with_opts(
-                    &Pattern::triangle(),
-                    &ins,
-                    800,
-                    1,
-                    91,
+                let single = estimate_on_feed(
+                    &spec,
+                    Model::Insertion,
+                    &ShardedFeed::partition(&ins, 1),
+                    &mut RouterArena::new(),
                     opts,
-                    SamplerMode::Relaxed,
+                    ExecPolicy::default(),
                 )
                 .unwrap();
                 assert_eq!(bundle.estimate.hits, single.hits, "{tag}");
@@ -291,14 +307,14 @@ fn turnstile_bundle_consumers_match_their_private_counterparts() {
         for &shards in &SHARD_SWEEP {
             let feed = ShardedFeed::partition(&tst, shards);
             let mut arena = RouterArena::new();
-            let bundle = estimate_turnstile_broadcast_with_opts(
-                &Pattern::triangle(),
+            let bundle = estimate_broadcast(
+                &QuerySpec::new(Pattern::triangle(), 300, 93),
+                Model::Turnstile,
                 &feed,
-                300,
-                93,
                 &mut arena,
                 PassOpts::with_block(block),
                 ConsumerSet::default(),
+                BroadcastOpts::default(),
             )
             .unwrap();
             let tag = format!("block {block}, {shards} shards");
@@ -328,7 +344,8 @@ fn placement_and_policy_never_change_broadcast_answers() {
     let map = ShardMap::balanced(shards, &uniform_ins.vertex_delivery_counts(), 8);
     assert!(!map.is_uniform(), "hub workload must produce overrides");
     let mut arena = RouterArena::new();
-    let (want_i, _) = run_insertion_broadcast_with_opts(
+    let (want_i, _) = run_broadcast(
+        Model::Insertion,
         bank(&Pattern::triangle(), SamplerMode::Relaxed, 200, 17),
         &uniform_ins,
         0x71,
@@ -336,8 +353,10 @@ fn placement_and_policy_never_change_broadcast_answers() {
         PassOpts::default(),
         BroadcastOpts::default(),
         &mut [],
+        None,
     );
-    let (want_t, _) = run_turnstile_broadcast_with_opts(
+    let (want_t, _) = run_broadcast(
+        Model::Turnstile,
         bank(&Pattern::triangle(), SamplerMode::Relaxed, 150, 18),
         &uniform_tst,
         0x72,
@@ -345,11 +364,13 @@ fn placement_and_policy_never_change_broadcast_answers() {
         PassOpts::with_block(64),
         BroadcastOpts::default(),
         &mut [],
+        None,
     );
     let placed_ins = ShardedFeed::partition_with_map(&ins, map.clone());
     let placed_tst = ShardedFeed::partition_with_map(&tst, map);
     for policy in [ExecPolicy::serial(), ExecPolicy::threaded()] {
-        let (got, _) = run_insertion_broadcast_with_opts(
+        let (got, _) = run_broadcast(
+            Model::Insertion,
             bank(&Pattern::triangle(), SamplerMode::Relaxed, 200, 17),
             &placed_ins,
             0x71,
@@ -357,9 +378,11 @@ fn placement_and_policy_never_change_broadcast_answers() {
             PassOpts::default(),
             BroadcastOpts::with_policy(policy),
             &mut [],
+            None,
         );
         assert_eq!(got, want_i, "insertion, {policy:?}");
-        let (got, _) = run_turnstile_broadcast_with_opts(
+        let (got, _) = run_broadcast(
+            Model::Turnstile,
             bank(&Pattern::triangle(), SamplerMode::Relaxed, 150, 18),
             &placed_tst,
             0x72,
@@ -367,6 +390,7 @@ fn placement_and_policy_never_change_broadcast_answers() {
             PassOpts::with_block(64),
             BroadcastOpts::with_policy(policy),
             &mut [],
+            None,
         );
         assert_eq!(got, want_t, "turnstile, {policy:?}");
     }

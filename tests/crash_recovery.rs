@@ -15,11 +15,9 @@
 //! rot) and a version-bumped or bit-flipped snapshot must produce clean
 //! structured errors — never a panic, never a silently wrong answer.
 
-use sgs_core::fgp::{
-    estimate_insertion_checkpointed, estimate_insertion_on_feed_with_opts,
-    estimate_turnstile_checkpointed, estimate_turnstile_on_feed_with_block,
-};
-use sgs_query::{CheckpointSession, PassOpts, RouterArena};
+use sgs_core::fgp::{estimate_checkpointed, estimate_on_feed};
+use sgs_core::QuerySpec;
+use sgs_query::{CheckpointSession, ExecPolicy, Model, PassOpts, RouterArena};
 use sgs_stream::persist::PersistError;
 use sgs_stream::reservoir::ReservoirMode;
 use sgs_stream::{ShardMap, ShardedFeed};
@@ -44,11 +42,25 @@ impl Cfg {
         }
     }
 
+    fn model(self) -> Model {
+        match self {
+            Cfg::Turnstile => Model::Turnstile,
+            _ => Model::Insertion,
+        }
+    }
+
+    fn spec(self) -> QuerySpec {
+        QuerySpec {
+            reservoir: match self {
+                Cfg::InsertionOffer => ReservoirMode::Offer,
+                _ => ReservoirMode::Skip,
+            },
+            ..QuerySpec::new(Pattern::triangle(), self.trials(), SEED)
+        }
+    }
+
     fn opts(self) -> PassOpts {
-        PassOpts::with_block(16).reservoir(match self {
-            Cfg::InsertionOffer => ReservoirMode::Offer,
-            _ => ReservoirMode::Skip,
-        })
+        PassOpts::with_block(16)
     }
 }
 
@@ -70,28 +82,28 @@ fn feed_for(cfg: Cfg, shards: usize) -> ShardedFeed {
 /// simulated crash point fired.
 fn drive(cfg: Cfg, feed: &ShardedFeed, session: &mut CheckpointSession) -> Option<CountEstimate> {
     let mut arena = RouterArena::new();
-    match cfg {
-        Cfg::Turnstile => estimate_turnstile_checkpointed(
-            &Pattern::triangle(),
-            feed,
-            cfg.trials(),
-            SEED,
-            &mut arena,
-            cfg.opts(),
-            session,
-        ),
-        _ => estimate_insertion_checkpointed(
-            &Pattern::triangle(),
-            feed,
-            cfg.trials(),
-            SEED,
-            &mut arena,
-            cfg.opts(),
-            SamplerMode::Indexed,
-            session,
-        ),
-    }
+    estimate_checkpointed(
+        &cfg.spec(),
+        cfg.model(),
+        feed,
+        &mut arena,
+        cfg.opts(),
+        session,
+    )
     .expect("checkpointed run must not error")
+}
+
+/// The same estimate on the plain (uncheckpointed) sharded engine.
+fn plain_estimate(cfg: Cfg, feed: &ShardedFeed, arena: &mut RouterArena) -> CountEstimate {
+    estimate_on_feed(
+        &cfg.spec(),
+        cfg.model(),
+        feed,
+        arena,
+        cfg.opts(),
+        ExecPolicy::default(),
+    )
+    .unwrap()
 }
 
 fn tmp_dir(tag: &str) -> std::path::PathBuf {
@@ -171,16 +183,7 @@ fn checkpointed_baseline_matches_plain_executors() {
         let ckpt = drive(Cfg::InsertionSkip, &feed, &mut session).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
         let mut arena = RouterArena::new();
-        let plain = estimate_insertion_on_feed_with_opts(
-            &Pattern::triangle(),
-            &feed,
-            Cfg::InsertionSkip.trials(),
-            SEED,
-            &mut arena,
-            Cfg::InsertionSkip.opts(),
-            SamplerMode::Indexed,
-        )
-        .unwrap();
+        let plain = plain_estimate(Cfg::InsertionSkip, &feed, &mut arena);
         assert_eq!(ckpt.estimate.to_bits(), plain.estimate.to_bits());
         assert_eq!(ckpt.hits, plain.hits);
         assert_eq!(ckpt.m, plain.m);
@@ -192,15 +195,7 @@ fn checkpointed_baseline_matches_plain_executors() {
         let ckpt = drive(Cfg::Turnstile, &feed, &mut session).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
         let mut arena = RouterArena::new();
-        let plain = estimate_turnstile_on_feed_with_block(
-            &Pattern::triangle(),
-            &feed,
-            Cfg::Turnstile.trials(),
-            SEED,
-            &mut arena,
-            Cfg::Turnstile.opts().block,
-        )
-        .unwrap();
+        let plain = plain_estimate(Cfg::Turnstile, &feed, &mut arena);
         assert_eq!(ckpt.estimate.to_bits(), plain.estimate.to_bits());
         assert_eq!(ckpt.hits, plain.hits);
         assert_eq!(ckpt.m, plain.m);

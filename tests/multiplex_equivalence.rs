@@ -14,13 +14,9 @@
 //! counters match solo exactly, and the ring engine reproduces the
 //! sharded engine.
 
-use sgs_core::fgp::{
-    estimate_insertion_on_feed_with_exec, estimate_multi_insertion,
-    estimate_multi_insertion_broadcast, estimate_multi_turnstile,
-    estimate_turnstile_on_feed_with_exec,
-};
-use sgs_core::{MultiQuerySpec, SamplerMode};
-use sgs_query::{BroadcastOpts, ExecPolicy, PassOpts, ReservoirMode, RouterArena};
+use sgs_core::fgp::{estimate_multi, estimate_multi_broadcast, estimate_on_feed};
+use sgs_core::{QuerySpec, SamplerMode};
+use sgs_query::{BroadcastOpts, ExecPolicy, Model, PassOpts, ReservoirMode, RouterArena};
 use sgs_stream::{InsertionStream, ShardedFeed, TurnstileStream};
 use subgraph_streams::prelude::*;
 
@@ -28,30 +24,30 @@ const SHARD_SWEEP: [usize; 3] = [1, 2, 4];
 
 /// A mixed admission batch: two patterns, different trial counts, seeds,
 /// sampler modes, and both reservoir acceptance schemes.
-fn mixed_specs() -> Vec<MultiQuerySpec> {
+fn mixed_specs() -> Vec<QuerySpec> {
     vec![
-        MultiQuerySpec {
+        QuerySpec {
             pattern: Pattern::triangle(),
             trials: 60,
             seed: 101,
             sampler: SamplerMode::Indexed,
             reservoir: ReservoirMode::Offer,
         },
-        MultiQuerySpec {
+        QuerySpec {
             pattern: Pattern::cycle(5),
             trials: 35,
             seed: 202,
             sampler: SamplerMode::Relaxed,
             reservoir: ReservoirMode::Skip,
         },
-        MultiQuerySpec {
+        QuerySpec {
             pattern: Pattern::triangle(),
             trials: 20,
             seed: 303,
             sampler: SamplerMode::Relaxed,
             reservoir: ReservoirMode::Offer,
         },
-        MultiQuerySpec {
+        QuerySpec {
             pattern: Pattern::cycle(5),
             trials: 15,
             seed: 404,
@@ -77,8 +73,9 @@ fn insertion_mux_matches_solo_across_shards_and_blocks() {
         let feed = ShardedFeed::partition(&ins, shards);
         for &block in &[0usize, 128] {
             let mut arena = RouterArena::new();
-            let (ests, admission) = estimate_multi_insertion(
+            let (ests, admission) = estimate_multi(
                 &specs,
+                Model::Insertion,
                 &feed,
                 &mut arena,
                 PassOpts::with_block(block),
@@ -90,14 +87,12 @@ fn insertion_mux_matches_solo_across_shards_and_blocks() {
             assert_eq!(feed.logical_passes() % 3, 0);
             for (j, spec) in specs.iter().enumerate() {
                 let mut solo_arena = RouterArena::new();
-                let solo = estimate_insertion_on_feed_with_exec(
-                    &spec.pattern,
+                let solo = estimate_on_feed(
+                    spec,
+                    Model::Insertion,
                     &feed,
-                    spec.trials,
-                    spec.seed,
                     &mut solo_arena,
-                    PassOpts::with_block(block).reservoir(spec.reservoir),
-                    spec.sampler,
+                    PassOpts::with_block(block),
                     ExecPolicy::serial(),
                 )
                 .unwrap();
@@ -120,8 +115,9 @@ fn turnstile_mux_matches_solo_across_shards_and_blocks() {
         let feed = ShardedFeed::partition(&tst, shards);
         for &block in &[0usize, 128] {
             let mut arena = RouterArena::new();
-            let (ests, admission) = estimate_multi_turnstile(
+            let (ests, admission) = estimate_multi(
                 &specs,
+                Model::Turnstile,
                 &feed,
                 &mut arena,
                 PassOpts::with_block(block),
@@ -131,11 +127,10 @@ fn turnstile_mux_matches_solo_across_shards_and_blocks() {
             assert_eq!(admission.rounds.len(), 3);
             for (j, spec) in specs.iter().enumerate() {
                 let mut solo_arena = RouterArena::new();
-                let solo = estimate_turnstile_on_feed_with_exec(
-                    &spec.pattern,
+                let solo = estimate_on_feed(
+                    spec,
+                    Model::Turnstile,
                     &feed,
-                    spec.trials,
-                    spec.seed,
                     &mut solo_arena,
                     PassOpts::with_block(block),
                     ExecPolicy::serial(),
@@ -155,8 +150,9 @@ fn threaded_policy_is_byte_identical_to_serial() {
     let feed = ShardedFeed::partition(&ins, 4);
     let specs = mixed_specs();
     let mut arena = RouterArena::new();
-    let (serial, _) = estimate_multi_insertion(
+    let (serial, _) = estimate_multi(
         &specs,
+        Model::Insertion,
         &feed,
         &mut arena,
         PassOpts::with_block(128),
@@ -164,8 +160,9 @@ fn threaded_policy_is_byte_identical_to_serial() {
     )
     .unwrap();
     let mut arena2 = RouterArena::new();
-    let (threaded, _) = estimate_multi_insertion(
+    let (threaded, _) = estimate_multi(
         &specs,
+        Model::Insertion,
         &feed,
         &mut arena2,
         PassOpts::with_block(128),
@@ -185,8 +182,9 @@ fn ring_engine_matches_sharded_engine() {
     for &shards in &SHARD_SWEEP {
         let feed = ShardedFeed::partition(&ins, shards);
         let mut arena = RouterArena::new();
-        let (sharded, _) = estimate_multi_insertion(
+        let (sharded, _) = estimate_multi(
             &specs,
+            Model::Insertion,
             &feed,
             &mut arena,
             PassOpts::with_block(64),
@@ -195,8 +193,9 @@ fn ring_engine_matches_sharded_engine() {
         .unwrap();
         for policy in [ExecPolicy::serial(), ExecPolicy::threaded()] {
             let mut ring_arena = RouterArena::new();
-            let (ringed, _) = estimate_multi_insertion_broadcast(
+            let (ringed, _) = estimate_multi_broadcast(
                 &specs,
+                Model::Insertion,
                 &feed,
                 &mut ring_arena,
                 PassOpts::with_block(64),
@@ -217,16 +216,18 @@ fn arena_reuse_across_mux_runs_is_stable() {
     let feed = ShardedFeed::partition(&ins, 2);
     let specs = mixed_specs();
     let mut arena = RouterArena::new();
-    let (first, _) = estimate_multi_insertion(
+    let (first, _) = estimate_multi(
         &specs,
+        Model::Insertion,
         &feed,
         &mut arena,
         PassOpts::with_block(64),
         ExecPolicy::serial(),
     )
     .unwrap();
-    let (second, _) = estimate_multi_insertion(
+    let (second, _) = estimate_multi(
         &specs,
+        Model::Insertion,
         &feed,
         &mut arena,
         PassOpts::with_block(64),

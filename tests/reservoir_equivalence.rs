@@ -22,9 +22,9 @@
 //! the `sgs_query::sharded` unit tests.
 
 use sgs_graph::{Edge, StaticGraph, VertexId};
-use sgs_query::exec::{answer_insertion_batch_with_opts, insertion_pass_reservoir_draws, PassOpts};
-use sgs_query::sharded::answer_insertion_batch_sharded_with_opts;
-use sgs_query::{Answer, Query, QueryRouter, ReservoirMode, RouterArena, RouterMode};
+use sgs_query::exec::{answer_batch, insertion_pass_reservoir_draws, PassOpts};
+use sgs_query::sharded::answer_batch_sharded;
+use sgs_query::{Answer, ExecPolicy, Model, Query, QueryRouter, ReservoirMode, RouterArena};
 use sgs_stream::hash::split_seed;
 use sgs_stream::reservoir::ReservoirBank;
 use sgs_stream::{EdgeUpdate, InsertionStream, ShardedFeed};
@@ -143,8 +143,8 @@ fn router_fed_seen_accounting_identical_at_every_prefix() {
         .map(|i| EdgeUpdate::insert(Edge::from((i % 9, 9 + i % 4))))
         .chain([EdgeUpdate::insert(Edge::from((99, 100)))])
         .collect();
-    let mut router_a = QueryRouter::build(&batch, RouterMode::Insertion);
-    let mut router_b = QueryRouter::build(&batch, RouterMode::Insertion);
+    let mut router_a = QueryRouter::build(&batch, Model::Insertion);
+    let mut router_b = QueryRouter::build(&batch, Model::Insertion);
     let seeds: Vec<u64> = router_a
         .neighbor_slots()
         .iter()
@@ -188,10 +188,16 @@ fn router_fed_skip_winners_uniform_at_shards_1_2_4() {
         let mut arena = RouterArena::new();
         let mut wins = vec![0u64; petals as usize];
         for pass_seed in 0..trials {
-            let (a, _) = answer_insertion_batch_sharded_with_opts(
-                &batch, &feed, pass_seed, &mut arena, opts,
+            let (a, _) = answer_batch_sharded(
+                Model::Insertion,
+                &batch,
+                &feed,
+                pass_seed,
+                &mut arena,
+                opts,
+                ExecPolicy::default(),
             );
-            let (b, _) = answer_insertion_batch_with_opts(&batch, &ins, pass_seed, opts);
+            let (b, _) = answer_batch(Model::Insertion, &batch, &ins, pass_seed, opts);
             assert_eq!(a, b, "shards {shards}, pass seed {pass_seed}");
             let Answer::Neighbor(Some(v)) = a[0] else {
                 panic!("star center must always have a neighbor");
@@ -223,7 +229,7 @@ fn skip_mode_sampled_neighbors_match_offer_mode_distribution() {
     for mode in [ReservoirMode::Offer, ReservoirMode::Skip] {
         let opts = PassOpts::with_reservoir(mode);
         for pass_seed in 0..trials {
-            let (a, _) = answer_insertion_batch_with_opts(&batch, &ins, pass_seed, opts);
+            let (a, _) = answer_batch(Model::Insertion, &batch, &ins, pass_seed, opts);
             for (qi, ans) in a.iter().enumerate() {
                 if let Answer::Neighbor(Some(u)) = ans {
                     *hist.entry((qi, u.0, mode)).or_insert(0) += 1;

@@ -17,8 +17,8 @@
 
 use sgs_core::{SamplerMode, SamplerPlan, SubgraphSampler};
 use sgs_query::reference::{run_insertion_reference, run_turnstile_reference};
-use sgs_query::sharded::{run_insertion_sharded, run_turnstile_sharded};
-use sgs_query::{Parallel, RouterArena};
+use sgs_query::sharded::run_sharded;
+use sgs_query::{ExecPolicy, Model, Parallel, PassOpts, RouterArena};
 use sgs_stream::hash::split_seed;
 use sgs_stream::{InsertionStream, ShardedFeed, TurnstileStream};
 use subgraph_streams::prelude::*;
@@ -47,11 +47,14 @@ fn sharded_insertion_matches_reference_triangle() {
         let feed = ShardedFeed::partition(&ins, shards);
         let mut arena = RouterArena::new();
         for seed in 0..6u64 {
-            let (a, ra) = run_insertion_sharded(
+            let (a, ra) = run_sharded(
+                Model::Insertion,
                 bank(&Pattern::triangle(), SamplerMode::Indexed, 400, seed),
                 &feed,
                 seed ^ 0xaa,
                 &mut arena,
+                PassOpts::default(),
+                ExecPolicy::default(),
             );
             let (b, rb) = run_insertion_reference(
                 bank(&Pattern::triangle(), SamplerMode::Indexed, 400, seed),
@@ -74,11 +77,14 @@ fn sharded_insertion_matches_reference_five_cycle() {
         let feed = ShardedFeed::partition(&ins, shards);
         let mut arena = RouterArena::new();
         for seed in 0..4u64 {
-            let (a, _) = run_insertion_sharded(
+            let (a, _) = run_sharded(
+                Model::Insertion,
                 bank(&Pattern::cycle(5), SamplerMode::Indexed, 300, seed),
                 &feed,
                 seed ^ 0xc5,
                 &mut arena,
+                PassOpts::default(),
+                ExecPolicy::default(),
             );
             let (b, _) = run_insertion_reference(
                 bank(&Pattern::cycle(5), SamplerMode::Indexed, 300, seed),
@@ -99,11 +105,14 @@ fn sharded_turnstile_matches_reference_triangle_and_five_cycle() {
             let feed = ShardedFeed::partition(&tst, shards);
             let mut arena = RouterArena::new();
             for seed in 0..3u64 {
-                let (a, _) = run_turnstile_sharded(
+                let (a, _) = run_sharded(
+                    Model::Turnstile,
                     bank(&pattern, SamplerMode::Relaxed, trials, seed),
                     &feed,
                     seed ^ 0x7,
                     &mut arena,
+                    PassOpts::default(),
+                    ExecPolicy::default(),
                 );
                 let (b, _) = run_turnstile_reference(
                     bank(&pattern, SamplerMode::Relaxed, trials, seed),
@@ -125,25 +134,26 @@ fn sharded_estimates_match_single_stream_estimators() {
     let g = sgs_graph::gen::gnm(30, 150, 21);
     let ins = InsertionStream::from_graph(&g, 22);
     let single = sgs_core::fgp::estimate_insertion(&Pattern::triangle(), &ins, 3_000, 23).unwrap();
+    // The CLI's shape: partition the stream, then estimate on the feed.
+    let sharded = |model, stream: &dyn Fn(usize) -> ShardedFeed, trials, shards, seed| {
+        let spec = sgs_core::QuerySpec::new(Pattern::triangle(), trials, seed);
+        let feed = stream(shards);
+        let (opts, policy) = (PassOpts::default(), ExecPolicy::default());
+        sgs_core::fgp::estimate_on_feed(&spec, model, &feed, &mut RouterArena::new(), opts, policy)
+            .unwrap()
+    };
+    let ins_feed = |shards| ShardedFeed::partition(&ins, shards);
     for &shards in &SHARD_SWEEP[1..] {
-        let multi = sgs_core::fgp::estimate_insertion_threaded(
-            &Pattern::triangle(),
-            &ins,
-            3_000,
-            shards,
-            23,
-        )
-        .unwrap();
+        let multi = sharded(Model::Insertion, &ins_feed, 3_000, shards, 23);
         assert_eq!(multi.hits, single.hits, "{shards} shards");
         assert_eq!(multi.estimate, single.estimate);
         assert_eq!(multi.report.passes, 3);
     }
     let tst = TurnstileStream::from_graph_with_churn(&g, 0.5, 24);
     let single_t = sgs_core::fgp::estimate_turnstile(&Pattern::triangle(), &tst, 400, 25).unwrap();
+    let tst_feed = |shards| ShardedFeed::partition(&tst, shards);
     for &shards in &SHARD_SWEEP[1..] {
-        let multi =
-            sgs_core::fgp::estimate_turnstile_threaded(&Pattern::triangle(), &tst, 400, shards, 25)
-                .unwrap();
+        let multi = sharded(Model::Turnstile, &tst_feed, 400, shards, 25);
         assert_eq!(multi.hits, single_t.hits, "{shards} shards");
         assert_eq!(multi.estimate, single_t.estimate);
     }
@@ -159,21 +169,27 @@ fn warm_arena_never_allocates_per_round() {
     let ins = InsertionStream::from_graph(&g, 32);
     let feed = ShardedFeed::partition(&ins, 4);
     let mut arena = RouterArena::new();
-    let (first, _) = run_insertion_sharded(
+    let (first, _) = run_sharded(
+        Model::Insertion,
         bank(&Pattern::triangle(), SamplerMode::Indexed, 500, 1),
         &feed,
         2,
         &mut arena,
+        PassOpts::default(),
+        ExecPolicy::default(),
     );
     assert!(arena.is_warm());
     let warmed = arena.heap_bytes();
     assert!(warmed > 0);
     for run in 0..3 {
-        let (again, _) = run_insertion_sharded(
+        let (again, _) = run_sharded(
+            Model::Insertion,
             bank(&Pattern::triangle(), SamplerMode::Indexed, 500, 1),
             &feed,
             2,
             &mut arena,
+            PassOpts::default(),
+            ExecPolicy::default(),
         );
         assert_eq!(again, first, "run {run} diverged");
     }
@@ -191,11 +207,14 @@ fn logical_pass_accounting_under_sharding() {
     let ins = InsertionStream::from_graph(&g, 42);
     let feed = ShardedFeed::partition(&ins, 7);
     let mut arena = RouterArena::new();
-    let (_, report) = run_insertion_sharded(
+    let (_, report) = run_sharded(
+        Model::Insertion,
         bank(&Pattern::triangle(), SamplerMode::Indexed, 200, 3),
         &feed,
         4,
         &mut arena,
+        PassOpts::default(),
+        ExecPolicy::default(),
     );
     assert_eq!(report.passes, 3, "3-pass estimator stays 3 logical passes");
     assert_eq!(feed.logical_passes(), 3, "feed agrees: 3 passes, not 21");
@@ -227,26 +246,35 @@ fn placement_never_changes_answers() {
         ];
         assert!(!maps[0].is_uniform(), "hub workload must produce overrides");
         for seed in 0..3u64 {
-            let (want_i, _) = run_insertion_sharded(
+            let (want_i, _) = run_sharded(
+                Model::Insertion,
                 bank(&Pattern::triangle(), SamplerMode::Relaxed, 300, seed),
                 &uniform_ins,
                 seed ^ 0x91,
                 &mut RouterArena::new(),
+                PassOpts::default(),
+                ExecPolicy::default(),
             );
-            let (want_t, _) = run_turnstile_sharded(
+            let (want_t, _) = run_sharded(
+                Model::Turnstile,
                 bank(&Pattern::triangle(), SamplerMode::Relaxed, 200, seed),
                 &uniform_tst,
                 seed ^ 0x92,
                 &mut RouterArena::new(),
+                PassOpts::default(),
+                ExecPolicy::default(),
             );
             for map in &maps {
                 let feed = ShardedFeed::partition_with_map(&ins, map.clone());
                 let mut arena = RouterArena::new();
-                let (got, _) = run_insertion_sharded(
+                let (got, _) = run_sharded(
+                    Model::Insertion,
                     bank(&Pattern::triangle(), SamplerMode::Relaxed, 300, seed),
                     &feed,
                     seed ^ 0x91,
                     &mut arena,
+                    PassOpts::default(),
+                    ExecPolicy::default(),
                 );
                 assert_eq!(
                     got,
@@ -256,11 +284,14 @@ fn placement_never_changes_answers() {
                 );
                 let feed = ShardedFeed::partition_with_map(&tst, map.clone());
                 let mut arena = RouterArena::new();
-                let (got, _) = run_turnstile_sharded(
+                let (got, _) = run_sharded(
+                    Model::Turnstile,
                     bank(&Pattern::triangle(), SamplerMode::Relaxed, 200, seed),
                     &feed,
                     seed ^ 0x92,
                     &mut arena,
+                    PassOpts::default(),
+                    ExecPolicy::default(),
                 );
                 assert_eq!(
                     got,
