@@ -127,7 +127,9 @@ fn csr_count(pattern: &Pattern, g: &AdjListGraph) -> u64 {
 /// it is insertion-only). `bcast` sets the ring geometry and the
 /// execution policy the shard workers and side sinks run under. The
 /// estimate and every consumer's answer are byte-identical for any
-/// setting. `None` if the pattern has no sampler plan.
+/// setting. `spec.reservoir` sets the reservoir mode; leave
+/// `opts.reservoir` at its default (debug builds assert it). `None` if
+/// the pattern has no sampler plan.
 pub fn estimate_broadcast(
     spec: &QuerySpec,
     model: Model,

@@ -23,6 +23,8 @@ use sgs_stream::ShardedFeed;
 /// when the session's simulated crash point fires; otherwise the same
 /// [`CountEstimate`] the uninterrupted executors produce. Resumes
 /// transparently when the session carries snapshot state.
+/// `spec.reservoir` sets the reservoir mode; leave `opts.reservoir` at
+/// its default (debug builds assert it).
 pub fn estimate_checkpointed(
     spec: &QuerySpec,
     model: Model,

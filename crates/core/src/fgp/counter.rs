@@ -35,7 +35,8 @@ pub struct QuerySpec {
     /// Relaxed-`f3` reservoir acceptance scheme (insertion model only).
     /// The one place an estimate takes its reservoir mode from: it
     /// overrides the `reservoir` field of the [`PassOpts`] an entry point
-    /// is given.
+    /// is given, which must stay at its default or equal this field
+    /// (debug builds assert it).
     pub reservoir: ReservoirMode,
 }
 
@@ -68,8 +69,16 @@ impl QuerySpec {
         split_seed(self.seed, u64::MAX)
     }
 
-    /// `opts` with this spec's reservoir mode.
+    /// `opts` with this spec's reservoir mode. The caller's
+    /// `opts.reservoir` must be left at its default (or already agree):
+    /// a debug build panics on a conflicting one rather than ignore it.
     pub(crate) fn pass_opts(&self, opts: PassOpts) -> PassOpts {
+        debug_assert!(
+            opts.reservoir == ReservoirMode::default() || opts.reservoir == self.reservoir,
+            "set the reservoir mode on QuerySpec::reservoir, not PassOpts ({:?} vs spec {:?})",
+            opts.reservoir,
+            self.reservoir,
+        );
         opts.reservoir(self.reservoir)
     }
 }

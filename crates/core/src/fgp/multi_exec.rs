@@ -31,7 +31,7 @@ fn run_multi(
     let mut rhos = Vec::with_capacity(specs.len());
     for spec in specs {
         let (par, rho) = spec.bank(model)?;
-        set.admit(par, spec.run_seed(), spec.reservoir);
+        set.admit(par, spec.run_seed(), spec.pass_opts(opts).reservoir);
         rhos.push(rho);
     }
     let out = set.run(model, feed, arena, opts, engine);
@@ -48,7 +48,9 @@ fn run_multi(
 /// Estimate every spec's `#H` in `model` from one shared pass per round
 /// on the sharded engine. Returns per-spec estimates (spec order) plus
 /// the multiplexer's admission report; `None` if any pattern has no
-/// sampler plan. Each estimate is byte-identical to its solo run.
+/// sampler plan. Each estimate is byte-identical to its solo run. Each
+/// spec's `reservoir` sets its jobs' reservoir mode; leave
+/// `opts.reservoir` at its default (debug builds assert it).
 pub fn estimate_multi(
     specs: &[QuerySpec],
     model: Model,

@@ -26,7 +26,8 @@ use sgs_stream::ShardedFeed;
 /// reusing a caller-owned arena (partition once, estimate many times,
 /// zero router allocations after warm-up). `opts` carries the feed block
 /// size (`<= 1` = scalar per-update path) and the ℓ₀ feed path; the
-/// reservoir mode comes from `spec`. The estimate is bit-identical for
+/// reservoir mode comes from `spec.reservoir`, so leave `opts.reservoir`
+/// at its default (debug builds assert it). The estimate is bit-identical for
 /// every option, shard count, and policy. `None` if the pattern has no
 /// sampler plan.
 pub fn estimate_on_feed(

@@ -19,7 +19,9 @@ use sgs_stream::ShardedFeed;
 /// Estimate `spec`'s `#H` from `feed` in `model` on a persistent
 /// runtime. Byte-identical to
 /// [`crate::fgp::parallel_exec::estimate_on_feed`] with the same spec.
-/// `None` if the pattern has no sampler plan.
+/// `spec.reservoir` sets the reservoir mode; leave `opts.reservoir` at
+/// its default (debug builds assert it). `None` if the pattern has no
+/// sampler plan.
 pub fn estimate_on_runtime(
     spec: &QuerySpec,
     model: Model,
@@ -54,17 +56,20 @@ mod tests {
     use sgs_stream::reservoir::ReservoirMode;
     use sgs_stream::{InsertionStream, TurnstileStream};
 
-    /// The live estimate on `rt` and the batch estimate, serial policy.
+    /// The live estimate on `rt` (through the caller's `arena`, as a
+    /// serving node reuses one across queries) and the batch estimate on
+    /// a fresh arena, serial policy.
     fn live_and_batch(
         spec: &QuerySpec,
         model: Model,
         feed: &ShardedFeed,
         opts: PassOpts,
+        arena: &mut RouterArena,
         rt: &mut ShardRuntime,
     ) -> (CountEstimate, CountEstimate) {
         let policy = ExecPolicy::serial();
         let bcast = BroadcastOpts::with_policy(policy);
-        let live = estimate_on_runtime(spec, model, feed, &mut RouterArena::new(), opts, bcast, rt);
+        let live = estimate_on_runtime(spec, model, feed, arena, opts, bcast, rt);
         let batch = estimate_on_feed(spec, model, feed, &mut RouterArena::new(), opts, policy);
         (live.unwrap(), batch.unwrap())
     }
@@ -86,7 +91,9 @@ mod tests {
                     ..QuerySpec::new(Pattern::clique(3), 60, 9)
                 };
                 let opts = PassOpts::with_block(64);
-                let (live, batch) = live_and_batch(&spec, Model::Insertion, &feed, opts, &mut rt);
+                let mut arena = RouterArena::new();
+                let (live, batch) =
+                    live_and_batch(&spec, Model::Insertion, &feed, opts, &mut arena, &mut rt);
                 assert_eq!(live.estimate.to_bits(), batch.estimate.to_bits());
                 assert_eq!(live.hits, batch.hits);
                 assert_eq!(live.report.passes, batch.report.passes);
@@ -103,7 +110,9 @@ mod tests {
             let mut rt = ShardRuntime::new(shards, ExecPolicy::serial());
             let spec = QuerySpec::new(Pattern::clique(3), 40, 11);
             let opts = PassOpts::with_block(64);
-            let (live, batch) = live_and_batch(&spec, Model::Turnstile, &feed, opts, &mut rt);
+            let mut arena = RouterArena::new();
+            let (live, batch) =
+                live_and_batch(&spec, Model::Turnstile, &feed, opts, &mut arena, &mut rt);
             assert_eq!(live.estimate.to_bits(), batch.estimate.to_bits());
             assert_eq!(live.hits, batch.hits);
         }
@@ -117,10 +126,12 @@ mod tests {
         let ins = InsertionStream::from_graph(&g, 32);
         let feed = ShardedFeed::partition(&ins, 2);
         let mut rt = ShardRuntime::new(2, ExecPolicy::serial());
+        let mut arena = RouterArena::new();
         for seed in [1u64, 2, 3] {
             let spec = QuerySpec::new(Pattern::clique(3), 30, seed);
             let opts = PassOpts::with_block(32);
-            let (live, batch) = live_and_batch(&spec, Model::Insertion, &feed, opts, &mut rt);
+            let (live, batch) =
+                live_and_batch(&spec, Model::Insertion, &feed, opts, &mut arena, &mut rt);
             assert_eq!(live.estimate.to_bits(), batch.estimate.to_bits());
         }
     }

@@ -44,7 +44,7 @@ use crate::query::{Answer, Query};
 use crate::round::RoundAdaptive;
 use crate::router::Model;
 use crate::runtime::ShardRuntime;
-use crate::sharded::{drive_rounds, PassCtx, ShardOutcome, ShardPass};
+use crate::sharded::{drive_rounds, FeedPass, PassCtx, ShardOutcome, ShardPass};
 use sgs_stream::broadcast::{Broadcast, BroadcastConsumer, RoutedProducer, TryNext};
 use sgs_stream::sharded::{RoutedUpdate, ShardUpdate, ShardedFeed};
 use std::time::Instant;
@@ -110,10 +110,10 @@ pub(crate) fn filter_block(block: &[RoutedUpdate], sid: usize, scratch: &mut Vec
 /// threaded schedule a shard's figure is its drain wall time (ring
 /// waits included), under the cooperative schedule only its own
 /// processing segments.
-pub(crate) fn drive_ring(
+pub(crate) fn drive_ring<P: FeedPass + Send>(
     feed: &ShardedFeed,
     ring: &Broadcast,
-    passes: Vec<ShardPass<'_>>,
+    passes: Vec<P>,
     bcast: BroadcastOpts,
     side: &mut [SideSink<'_>],
 ) -> Vec<ShardOutcome> {
@@ -164,7 +164,7 @@ pub(crate) fn drive_ring(
         })
     } else {
         let mut producer = producer;
-        let mut workers: Vec<(ShardPass<'_>, BroadcastConsumer, bool, u64)> = passes
+        let mut workers: Vec<(P, BroadcastConsumer, bool, u64)> = passes
             .into_iter()
             .zip(shard_consumers)
             .map(|(p, c)| (p, c, false, 0u64))

@@ -38,7 +38,7 @@ use crate::exec::{PassOpts, ANSWER_BYTES};
 use crate::query::Answer;
 use crate::round::RoundAdaptive;
 use crate::router::Model;
-use crate::sharded::{PassCtx, ShardPass};
+use crate::sharded::{FeedPass, PassCtx, ShardPass};
 use sgs_graph::VertexId;
 use sgs_stream::hash::split_seed;
 use sgs_stream::persist::{

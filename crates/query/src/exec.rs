@@ -144,7 +144,10 @@ impl PassOpts {
 
     /// The statistical-oracle configuration: scalar feed, per-offer
     /// reservoirs, predicated ℓ₀ scans — the exact instruction sequence
-    /// of the frozen reference executors.
+    /// of the frozen reference executors. The `sgs-core` estimators take
+    /// their reservoir mode from `QuerySpec::reservoir` instead of from
+    /// these options, so there the oracle is this plus a spec with
+    /// `ReservoirMode::Offer`.
     pub fn oracle() -> Self {
         PassOpts {
             block: 0,

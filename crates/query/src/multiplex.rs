@@ -61,7 +61,7 @@ use crate::query::{Answer, Query};
 use crate::round::RoundAdaptive;
 use crate::router::Model;
 use crate::sharded::{
-    run_shards, split_batch, PassCtx, ShardOutcome, ShardPass, TurnstileShardPass,
+    run_shards, split_batch, FeedPass, PassCtx, ShardOutcome, TurnstileShardPass,
 };
 use sgs_graph::{Edge, VertexId};
 use sgs_stream::broadcast::Broadcast;
@@ -441,8 +441,8 @@ struct MuxSegment {
 /// sub-batch; per-participant reservoir banks (each in its job's own
 /// mode, lanes seeded with the job's solo coins) fed through the segment
 /// table.
-pub(crate) struct MuxInsertionShardPass<'a> {
-    pub(crate) slot: &'a mut ShardSlot,
+struct MuxInsertionShardPass<'a> {
+    slot: &'a mut ShardSlot,
     targets: &'a [(u64, u32)],
     block: usize,
     /// One private bank per participant (possibly zero lanes).
@@ -548,7 +548,7 @@ impl<'a> MuxInsertionShardPass<'a> {
 
     /// Absorb the next run of deliveries (global stream order, possibly
     /// a partial prefix — callable repeatedly).
-    pub(crate) fn feed(&mut self, deliveries: &[ShardUpdate]) {
+    fn feed(&mut self, deliveries: &[ShardUpdate]) {
         if self.block <= 1 {
             for su in deliveries {
                 debug_assert!(su.update.is_insert(), "insertion executor fed a deletion");
@@ -612,7 +612,7 @@ impl<'a> MuxInsertionShardPass<'a> {
     }
 
     /// End of stream: fill shard-local answers and report the outcome.
-    pub(crate) fn finish(self) -> ShardOutcome {
+    fn finish(self) -> ShardOutcome {
         let MuxInsertionShardPass {
             slot,
             banks,
@@ -646,24 +646,54 @@ impl<'a> MuxInsertionShardPass<'a> {
 /// by its owner's coin. ℓ₀-samplers are per-lane independent linear
 /// sketches, so the shared turnstile pass needs no per-job banks — flat
 /// banks aligned with the merged slot lists merge across shards exactly
-/// like a solo sharded pass.
-fn mux_shard_pass<'a>(
-    model: Model,
-    slot: &'a mut ShardSlot,
-    ctx: &'a PassCtx,
-    plan: &RoundPlan,
-    opts: PassOpts,
-) -> ShardPass<'a> {
-    match model {
-        Model::Insertion => {
-            ShardPass::Mux(MuxInsertionShardPass::new(slot, &ctx.targets, plan, opts))
+/// like a solo sharded pass. Never checkpointed.
+enum MuxShardPass<'a> {
+    Insertion(MuxInsertionShardPass<'a>),
+    Turnstile(TurnstileShardPass<'a>),
+}
+
+impl<'a> MuxShardPass<'a> {
+    fn new(
+        model: Model,
+        slot: &'a mut ShardSlot,
+        ctx: &'a PassCtx,
+        plan: &RoundPlan,
+        opts: PassOpts,
+    ) -> Self {
+        match model {
+            Model::Insertion => {
+                MuxShardPass::Insertion(MuxInsertionShardPass::new(slot, &ctx.targets, plan, opts))
+            }
+            Model::Turnstile => MuxShardPass::Turnstile(TurnstileShardPass::new(
+                slot,
+                ctx,
+                |gs| plan.slot_seeds[gs as usize],
+                opts,
+            )),
         }
-        Model::Turnstile => ShardPass::Turnstile(TurnstileShardPass::new(
-            slot,
-            ctx,
-            |gs| plan.slot_seeds[gs as usize],
-            opts,
-        )),
+    }
+}
+
+impl FeedPass for MuxShardPass<'_> {
+    fn feed(&mut self, deliveries: &[ShardUpdate]) {
+        match self {
+            MuxShardPass::Insertion(p) => p.feed(deliveries),
+            MuxShardPass::Turnstile(p) => p.feed(deliveries),
+        }
+    }
+
+    fn slot_mut(&mut self) -> &mut ShardSlot {
+        match self {
+            MuxShardPass::Insertion(p) => p.slot,
+            MuxShardPass::Turnstile(p) => p.slot,
+        }
+    }
+
+    fn finish(self) -> ShardOutcome {
+        match self {
+            MuxShardPass::Insertion(p) => p.finish(),
+            MuxShardPass::Turnstile(p) => p.finish(),
+        }
     }
 }
 
@@ -690,13 +720,13 @@ fn mux_pass(
     let slots = &mut arena.slots[..shards];
     let outcomes = match engine {
         Engine::Sharded(policy) => run_shards(feed, slots, policy, |slot| {
-            mux_shard_pass(model, slot, &ctx, plan, opts)
+            MuxShardPass::new(model, slot, &ctx, plan, opts)
         }),
         Engine::Ring(bcast) => {
             let passes = slots
                 .iter_mut()
-                .map(|slot| mux_shard_pass(model, slot, &ctx, plan, opts))
-                .collect();
+                .map(|slot| MuxShardPass::new(model, slot, &ctx, plan, opts))
+                .collect::<Vec<_>>();
             let ring = Broadcast::with_stall_threshold(bcast.ring_capacity, MUX_STALL_THRESHOLD);
             let outcomes = drive_ring(feed, &ring, passes, bcast, &mut []);
             stalls.extend(ring.stall_events());

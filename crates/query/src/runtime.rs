@@ -42,7 +42,7 @@ use crate::exec::PassOpts;
 use crate::policy::{host_cores, pin_current_thread, ExecPolicy};
 use crate::query::{Answer, Query};
 use crate::router::Model;
-use crate::sharded::{PassCtx, ShardOutcome, ShardPass};
+use crate::sharded::{FeedPass, PassCtx, ShardOutcome, ShardPass};
 use sgs_stream::broadcast::{Broadcast, BroadcastConsumer, RoutedProducer, TryNext};
 use sgs_stream::sharded::{ShardUpdate, ShardedFeed};
 use std::sync::mpsc::{channel, Receiver, Sender};

@@ -45,7 +45,6 @@
 use crate::accounting::ExecReport;
 use crate::arena::{RouterArena, ShardSlot};
 use crate::exec::{sort_targets, PassOpts, ANSWER_BYTES};
-use crate::multiplex::MuxInsertionShardPass;
 use crate::policy::ExecPolicy;
 use crate::query::{Answer, Query};
 use crate::round::RoundAdaptive;
@@ -394,7 +393,7 @@ impl<'a> InsertionShardPass<'a> {
 /// One shard's turnstile-model pass as a resumable state machine (see
 /// [`InsertionShardPass`]).
 pub(crate) struct TurnstileShardPass<'a> {
-    slot: &'a mut ShardSlot,
+    pub(crate) slot: &'a mut ShardSlot,
     opts: PassOpts,
     f1_bank: Vec<L0Sampler>,
     nbr_samplers: Vec<L0Sampler>,
@@ -590,15 +589,34 @@ impl<'a> TurnstileShardPass<'a> {
     }
 }
 
-/// One shard's pass state machine for one round, in either stream model:
-/// the one type every engine feeds — scoped-thread shard buffers, ring
-/// cursors, persistent runtime workers, and the checkpointed driver.
+/// What the pass drivers ([`run_shards`], [`crate::broadcast::drive_ring`])
+/// need of one shard's pass machine: absorb deliveries in global stream
+/// order (possibly a partial prefix — callable repeatedly), note the feed
+/// time, and report the outcome at end of stream. [`ShardPass`] is the
+/// solo implementation; the multiplexer brings its own.
+pub(crate) trait FeedPass {
+    /// Absorb the next run of deliveries.
+    fn feed(&mut self, deliveries: &[ShardUpdate]);
+
+    /// The arena slot this pass runs over.
+    fn slot_mut(&mut self) -> &mut ShardSlot;
+
+    /// End of stream: fill shard-local answers and report the outcome.
+    fn finish(self) -> ShardOutcome;
+
+    /// Record this pass's feed duration into its arena slot, for the
+    /// arena's per-shard critical-path telemetry.
+    fn record_pass_nanos(&mut self, nanos: u64) {
+        self.slot_mut().pass_nanos.push(nanos);
+    }
+}
+
+/// One shard's solo pass state machine for one round, in either stream
+/// model: the one type the sharded, ring, runtime and checkpointed
+/// engines feed.
 pub(crate) enum ShardPass<'a> {
     Insertion(InsertionShardPass<'a>),
     Turnstile(TurnstileShardPass<'a>),
-    /// A multiplexed round's insertion pass (per-job reservoir banks);
-    /// built by [`crate::multiplex`] only, never checkpointed.
-    Mux(MuxInsertionShardPass<'a>),
 }
 
 impl<'a> ShardPass<'a> {
@@ -625,43 +643,12 @@ impl<'a> ShardPass<'a> {
         }
     }
 
-    /// Absorb the next run of deliveries (global stream order, possibly
-    /// a partial prefix — callable repeatedly).
-    pub(crate) fn feed(&mut self, deliveries: &[ShardUpdate]) {
-        match self {
-            ShardPass::Insertion(p) => p.feed(deliveries),
-            ShardPass::Turnstile(p) => p.feed(deliveries),
-            ShardPass::Mux(p) => p.feed(deliveries),
-        }
-    }
-
-    /// Record this pass's feed duration into its arena slot, for the
-    /// arena's per-shard critical-path telemetry.
-    pub(crate) fn record_pass_nanos(&mut self, nanos: u64) {
-        let slot = match self {
-            ShardPass::Insertion(p) => &mut p.slot,
-            ShardPass::Turnstile(p) => &mut p.slot,
-            ShardPass::Mux(p) => &mut p.slot,
-        };
-        slot.pass_nanos.push(nanos);
-    }
-
-    /// End of stream: fill shard-local answers and report the outcome.
-    pub(crate) fn finish(self) -> ShardOutcome {
-        match self {
-            ShardPass::Insertion(p) => p.finish(),
-            ShardPass::Turnstile(p) => p.finish(),
-            ShardPass::Mux(p) => p.finish(),
-        }
-    }
-
     /// Serialize the mutable mid-pass state (see the per-model
     /// `snapshot_state`); the leading tag byte is [`Model::tag`].
     pub(crate) fn snapshot_state(&self) -> Vec<u8> {
         match self {
             ShardPass::Insertion(p) => p.snapshot_state(),
             ShardPass::Turnstile(p) => p.snapshot_state(),
-            ShardPass::Mux(_) => unreachable!("multiplexed passes are never checkpointed"),
         }
     }
 
@@ -671,7 +658,29 @@ impl<'a> ShardPass<'a> {
         match self {
             ShardPass::Insertion(p) => p.restore_state(bytes),
             ShardPass::Turnstile(p) => p.restore_state(bytes),
-            ShardPass::Mux(_) => unreachable!("multiplexed passes are never checkpointed"),
+        }
+    }
+}
+
+impl FeedPass for ShardPass<'_> {
+    fn feed(&mut self, deliveries: &[ShardUpdate]) {
+        match self {
+            ShardPass::Insertion(p) => p.feed(deliveries),
+            ShardPass::Turnstile(p) => p.feed(deliveries),
+        }
+    }
+
+    fn slot_mut(&mut self) -> &mut ShardSlot {
+        match self {
+            ShardPass::Insertion(p) => p.slot,
+            ShardPass::Turnstile(p) => p.slot,
+        }
+    }
+
+    fn finish(self) -> ShardOutcome {
+        match self {
+            ShardPass::Insertion(p) => p.finish(),
+            ShardPass::Turnstile(p) => p.finish(),
         }
     }
 }
@@ -680,11 +689,11 @@ impl<'a> ShardPass<'a> {
 /// per the injected [`ExecPolicy`], collecting outcomes in shard order.
 /// `make` builds each shard's pass machine; the solo drivers and the
 /// multiplexer differ only there.
-pub(crate) fn run_shards<'a>(
+pub(crate) fn run_shards<'a, P: FeedPass>(
     feed: &ShardedFeed,
     slots: &'a mut [ShardSlot],
     policy: ExecPolicy,
-    make: impl Fn(&'a mut ShardSlot) -> ShardPass<'a> + Sync,
+    make: impl Fn(&'a mut ShardSlot) -> P + Sync,
 ) -> Vec<ShardOutcome> {
     feed.begin_pass();
     let work = |sid: usize, slot: &'a mut ShardSlot| {
