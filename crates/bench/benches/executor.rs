@@ -25,9 +25,10 @@ use sgs_query::exec::{answer_batch, run_insertion, run_turnstile};
 use sgs_query::reference::{
     answer_insertion_batch_reference, run_insertion_reference, run_turnstile_reference,
 };
-use sgs_query::{Model, Parallel, PassOpts, Query, RoundAdaptive};
+use sgs_query::sharded::answer_batch_sharded;
+use sgs_query::{ExecPolicy, Model, Parallel, PassOpts, Query, RoundAdaptive, RouterArena};
 use sgs_stream::hash::split_seed;
-use sgs_stream::{EdgeStream, InsertionStream, TurnstileStream};
+use sgs_stream::{EdgeStream, InsertionStream, ShardedFeed, TurnstileStream};
 use std::hint::black_box;
 
 /// Whether a `cargo bench -- <filter>` substring filter selects `id`.
@@ -95,6 +96,8 @@ fn bench_insertion_pass(c: &mut Criterion) {
     // dominates — the regime the ROADMAP's traffic story lives in.
     let g = gen::gnm(2000, 48_000, 3);
     let stream = InsertionStream::from_graph(&g, 4);
+    let feed = ShardedFeed::partition(&stream, 1);
+    let mut arena = RouterArena::new();
     let mut group = c.benchmark_group("insertion_pass");
     group.sample_size(15);
     for &k in &[1_000usize, 8_000, 32_000] {
@@ -109,12 +112,14 @@ fn bench_insertion_pass(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("router", k), &batches, |b, batches| {
             b.iter(|| {
                 for (batch, seed) in batches {
-                    black_box(answer_batch(
+                    black_box(answer_batch_sharded(
                         Model::Insertion,
-                        batch,
-                        &stream,
+                        batch.clone(),
+                        &feed,
                         *seed,
+                        &mut arena,
                         PassOpts::default(),
+                        ExecPolicy::serial(),
                     ));
                 }
             });
@@ -138,6 +143,8 @@ fn bench_insertion_pass(c: &mut Criterion) {
 fn bench_insertion_pass_relaxed(c: &mut Criterion) {
     let g = gen::gnm(800, 12_000, 3);
     let stream = InsertionStream::from_graph(&g, 4);
+    let feed = ShardedFeed::partition(&stream, 1);
+    let mut arena = RouterArena::new();
     let mut group = c.benchmark_group("insertion_pass_relaxed");
     group.sample_size(10);
     for &k in &[1_000usize, 8_000, 32_000] {
@@ -152,12 +159,14 @@ fn bench_insertion_pass_relaxed(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("router", k), &batches, |b, batches| {
             b.iter(|| {
                 for (batch, seed) in batches {
-                    black_box(answer_batch(
+                    black_box(answer_batch_sharded(
                         Model::Insertion,
-                        batch,
-                        &stream,
+                        batch.clone(),
+                        &feed,
                         *seed,
+                        &mut arena,
                         PassOpts::default(),
+                        ExecPolicy::serial(),
                     ));
                 }
             });

@@ -321,25 +321,24 @@ fn bench_pass(
     turnstile: bool,
 ) -> (f64, Vec<PassRow>) {
     let updates = (batches.len() * stream.len()) as u64;
-    let run_set = |block: usize| {
+    let model = if turnstile {
+        Model::Turnstile
+    } else {
+        Model::Insertion
+    };
+    let feed = ShardedFeed::partition(stream, 1);
+    let mut arena = RouterArena::new();
+    let mut run_set = |block: usize| {
         for (batch, seed) in batches {
-            if turnstile {
-                black_box(answer_batch(
-                    Model::Turnstile,
-                    batch,
-                    stream,
-                    *seed,
-                    PassOpts::with_block(block),
-                ));
-            } else {
-                black_box(answer_batch(
-                    Model::Insertion,
-                    batch,
-                    stream,
-                    *seed,
-                    PassOpts::with_block(block),
-                ));
-            }
+            black_box(answer_batch_sharded(
+                model,
+                batch.clone(),
+                &feed,
+                *seed,
+                &mut arena,
+                PassOpts::with_block(block),
+                ExecPolicy::serial(),
+            ));
         }
     };
     run_set(0); // warm-up
@@ -390,7 +389,7 @@ fn bench_sharded_composition(
                 for (batch, seed) in batches {
                     black_box(answer_batch_sharded(
                         Model::Insertion,
-                        batch,
+                        batch.to_vec(),
                         &feed,
                         *seed,
                         &mut arena,
@@ -404,7 +403,7 @@ fn bench_sharded_composition(
                 for (batch, seed) in batches {
                     black_box(answer_batch_sharded(
                         Model::Insertion,
-                        batch,
+                        batch.to_vec(),
                         &feed,
                         *seed,
                         &mut arena,

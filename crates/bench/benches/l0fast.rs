@@ -25,10 +25,11 @@
 use sgs_core::fgp::{SamplerMode, SamplerPlan, SubgraphSampler};
 use sgs_graph::{gen, Pattern};
 use sgs_query::exec::answer_batch;
-use sgs_query::{L0Mode, Model, Parallel, PassOpts, Query, RoundAdaptive};
+use sgs_query::sharded::answer_batch_sharded;
+use sgs_query::{ExecPolicy, L0Mode, Model, Parallel, PassOpts, Query, RoundAdaptive, RouterArena};
 use sgs_stream::hash::{split_seed, FastRng};
 use sgs_stream::l0::L0Sampler;
-use sgs_stream::{EdgeStream, TurnstileStream};
+use sgs_stream::{EdgeStream, ShardedFeed, TurnstileStream};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -185,13 +186,23 @@ fn bench_pass(
 ) -> Vec<PassRow> {
     println!("\n== whole turnstile passes (triangle bank, both ℓ₀ modes) ==");
     let updates = (batches.len() * stream.len()) as u64;
+    let feed = ShardedFeed::partition(stream, 1);
+    let mut arena = RouterArena::new();
     let mut rows = Vec::new();
     for &mode in &[L0Mode::Predicated, L0Mode::Dispatch] {
         for &block in blocks {
             let opts = PassOpts::with_block(block).l0(mode);
-            let run_set = || {
+            let mut run_set = || {
                 for (batch, seed) in batches {
-                    black_box(answer_batch(Model::Turnstile, batch, stream, *seed, opts));
+                    black_box(answer_batch_sharded(
+                        Model::Turnstile,
+                        batch.clone(),
+                        &feed,
+                        *seed,
+                        &mut arena,
+                        opts,
+                        ExecPolicy::serial(),
+                    ));
                 }
             };
             run_set(); // warm-up

@@ -212,7 +212,7 @@ fn run_spawn_per_pass(
         for (batch, seed) in batches {
             black_box(answer_batch_broadcast(
                 Model::Insertion,
-                batch,
+                batch.to_vec(),
                 feed,
                 *seed,
                 &mut arena,
@@ -237,7 +237,7 @@ fn run_persistent(
         for (batch, seed) in batches {
             black_box(rt.pass(
                 Model::Insertion,
-                batch,
+                batch.to_vec(),
                 feed,
                 *seed,
                 &mut arena,
@@ -263,7 +263,7 @@ fn run_serial_critical(
         for (batch, seed) in batches {
             black_box(answer_batch_sharded(
                 Model::Insertion,
-                batch,
+                batch.to_vec(),
                 feed,
                 *seed,
                 &mut arena,
@@ -279,7 +279,7 @@ fn run_serial_critical(
         for (batch, seed) in batches {
             black_box(answer_batch_sharded(
                 Model::Insertion,
-                batch,
+                batch.to_vec(),
                 feed,
                 *seed,
                 &mut arena,
@@ -366,7 +366,7 @@ fn main() {
             );
             let (a, _) = answer_batch_broadcast(
                 Model::Insertion,
-                batch,
+                batch.to_vec(),
                 &feed2,
                 *seed,
                 &mut arena,
@@ -376,7 +376,7 @@ fn main() {
             );
             let (b, _) = rt.pass(
                 Model::Insertion,
-                batch,
+                batch.to_vec(),
                 &feed2,
                 *seed,
                 &mut arena,
@@ -422,7 +422,7 @@ fn main() {
         for (batch, seed) in &hub_batches {
             let (a, _) = answer_batch_sharded(
                 Model::Insertion,
-                batch,
+                batch.to_vec(),
                 &uniform,
                 *seed,
                 &mut ua,
@@ -431,7 +431,7 @@ fn main() {
             );
             let (b, _) = answer_batch_sharded(
                 Model::Insertion,
-                batch,
+                batch.to_vec(),
                 &balanced,
                 *seed,
                 &mut ba,

@@ -29,10 +29,11 @@
 use sgs_core::fgp::{SamplerMode, SamplerPlan, SubgraphSampler};
 use sgs_graph::{gen, Pattern};
 use sgs_query::exec::{answer_batch, insertion_pass_reservoir_draws, PassOpts};
-use sgs_query::{Model, Parallel, Query, ReservoirMode, RoundAdaptive};
+use sgs_query::sharded::answer_batch_sharded;
+use sgs_query::{ExecPolicy, Model, Parallel, Query, ReservoirMode, RoundAdaptive, RouterArena};
 use sgs_stream::hash::{split_seed, FastRng};
 use sgs_stream::reservoir::ReservoirBank;
-use sgs_stream::{EdgeStream, InsertionStream};
+use sgs_stream::{EdgeStream, InsertionStream, ShardedFeed};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -195,6 +196,8 @@ struct PassRow {
 
 fn bench_router_fed(ks: &[usize], stream: &InsertionStream, samples: usize) -> Vec<PassRow> {
     println!("\n== router-fed relaxed-f3 insertion passes (triangle bank, default block) ==");
+    let feed = ShardedFeed::partition(stream, 1);
+    let mut arena = RouterArena::new();
     let mut rows = Vec::new();
     for &k in ks {
         let batches = capture_batches(k, stream, 7 ^ k as u64, 5 ^ k as u64);
@@ -203,13 +206,22 @@ fn bench_router_fed(ks: &[usize], stream: &InsertionStream, samples: usize) -> V
                 .iter()
                 .filter(|q| matches!(q, Query::RandomNeighbor(_)))
                 .count();
-            let run = |mode: ReservoirMode| {
+            let mut run = |mode: ReservoirMode| {
                 let opts = PassOpts::with_reservoir(mode);
+                let mut pass = || {
+                    black_box(answer_batch_sharded(
+                        Model::Insertion,
+                        batch.clone(),
+                        &feed,
+                        *seed,
+                        &mut arena,
+                        opts,
+                        ExecPolicy::serial(),
+                    ));
+                };
                 // Warm-up, then timed.
-                black_box(answer_batch(Model::Insertion, batch, stream, *seed, opts));
-                let ns = time(samples, || {
-                    black_box(answer_batch(Model::Insertion, batch, stream, *seed, opts));
-                });
+                pass();
+                let ns = time(samples, pass);
                 let draws = insertion_pass_reservoir_draws(batch, stream, *seed, opts);
                 (ns, draws)
             };

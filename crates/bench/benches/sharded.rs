@@ -1,5 +1,6 @@
-//! Sharded-pipeline scaling bench: 1/2/4/8 feed shards vs the PR-1
-//! single-router baseline on the relaxed-f3 insertion workload.
+//! Sharded-pipeline scaling bench: 1/2/4/8 feed shards vs the
+//! single-router baseline (the same pass over a one-shard feed, with its
+//! own arena) on the relaxed-f3 insertion workload.
 //!
 //! Workload: the three real captured rounds of a triangle estimator with
 //! relaxed `f3` (thousands of pending `RandomNeighbor` reservoirs — the
@@ -123,7 +124,7 @@ fn run_sharded(
         for (batch, seed) in batches {
             black_box(answer_batch_sharded(
                 Model::Insertion,
-                batch,
+                batch.to_vec(),
                 feed,
                 *seed,
                 &mut arena,
@@ -139,7 +140,7 @@ fn run_sharded(
         for (batch, seed) in batches {
             black_box(answer_batch_sharded(
                 Model::Insertion,
-                batch,
+                batch.to_vec(),
                 feed,
                 *seed,
                 &mut arena,
@@ -190,28 +191,34 @@ fn main() {
     let batches = capture_batches(trials, &stream, 7, 5);
     let updates_per_set = (batches.len() * stream.len()) as u64;
 
-    // PR-1 baseline: the single-router per-batch seam.
+    // Baseline: one router over a one-shard feed.
+    let one_shard = ShardedFeed::partition(&stream, 1);
+    let mut one_arena = RouterArena::new();
     let mut base_samples = Vec::with_capacity(samples);
     for _ in 0..2 {
         for (batch, seed) in &batches {
-            black_box(answer_batch(
+            black_box(answer_batch_sharded(
                 Model::Insertion,
-                batch,
-                &stream,
+                batch.clone(),
+                &one_shard,
                 *seed,
+                &mut one_arena,
                 PassOpts::default(),
+                ExecPolicy::serial(),
             ));
         }
     }
     for _ in 0..samples {
         let t0 = Instant::now();
         for (batch, seed) in &batches {
-            black_box(answer_batch(
+            black_box(answer_batch_sharded(
                 Model::Insertion,
-                batch,
-                &stream,
+                batch.clone(),
+                &one_shard,
                 *seed,
+                &mut one_arena,
                 PassOpts::default(),
+                ExecPolicy::serial(),
             ));
         }
         base_samples.push(t0.elapsed().as_nanos() as u64);
@@ -219,7 +226,7 @@ fn main() {
     let baseline_ns = best(base_samples);
     println!(
         "{:<28} {:>12}   ({:.3} Mupd/s)",
-        "baseline (PR-1 router)",
+        "baseline (one-shard feed)",
         human(baseline_ns),
         updates_per_set as f64 * 1e3 / baseline_ns as f64
     );
@@ -258,7 +265,7 @@ fn main() {
             let (a, _) = answer_batch(Model::Insertion, batch, &stream, *seed, PassOpts::default());
             let (b, _) = answer_batch_sharded(
                 Model::Insertion,
-                batch,
+                batch.to_vec(),
                 &feed,
                 *seed,
                 &mut arena,
@@ -287,7 +294,7 @@ fn main() {
         rows.pop();
         rows.pop(); // trailing ",\n"
         let json = format!(
-            "{{\n  \"description\": \"Sharded stream pipeline (per-shard QueryRouters over a hash-partitioned ShardedFeed) vs the single-router baseline (exec::answer_batch), relaxed-f3 insertion workload. critical_path_ns = sum over passes of the slowest shard's isolated feed time = pass latency of a one-core-per-shard deployment; wall_auto_ns = actual wall clock under the default execution policy on this host. shard_load_ns = mean total feed nanos per shard over the timed iterations (RouterArena::shard_pass_nanos) - the per-shard load histogram behind the shard-aware-placement roadmap item. Regenerate: SGS_BENCH_JSON=<path> cargo bench -p sgs-bench --bench sharded\",\n  \"workload\": \"triangle bank, Relaxed f3, {trials} trials, gnm(800, 12000), 3 captured rounds, {updates} stream updates per answer set\",\n  \"host_cores\": {cores},\n  \"samples\": {samples}, \"statistic\": \"min over samples (additive scheduler noise on this box)\",\n  \"baseline_pr1_router_ns\": {baseline_ns},\n  \"sharded\": [\n{rows}\n  ]\n}}\n",
+            "{{\n  \"description\": \"Sharded stream pipeline (per-shard QueryRouters over a hash-partitioned ShardedFeed) vs the single-router baseline (the pass over a one-shard feed), relaxed-f3 insertion workload. critical_path_ns = sum over passes of the slowest shard's isolated feed time = pass latency of a one-core-per-shard deployment; wall_auto_ns = actual wall clock under the default execution policy on this host. shard_load_ns = mean total feed nanos per shard over the timed iterations (RouterArena::shard_pass_nanos) - the per-shard load histogram behind the shard-aware-placement roadmap item. Regenerate: SGS_BENCH_JSON=<path> cargo bench -p sgs-bench --bench sharded\",\n  \"workload\": \"triangle bank, Relaxed f3, {trials} trials, gnm(800, 12000), 3 captured rounds, {updates} stream updates per answer set\",\n  \"host_cores\": {cores},\n  \"samples\": {samples}, \"statistic\": \"min over samples (additive scheduler noise on this box)\",\n  \"baseline_pr1_router_ns\": {baseline_ns},\n  \"sharded\": [\n{rows}\n  ]\n}}\n",
             trials = trials,
             updates = updates_per_set,
             cores = cores,

@@ -7,9 +7,10 @@ use sgs_core::fgp::{SamplerMode, SamplerPlan, SubgraphSampler};
 use sgs_graph::{gen, Pattern};
 use sgs_query::exec::{answer_batch, run_insertion};
 use sgs_query::reference::{answer_insertion_batch_reference, run_insertion_reference};
-use sgs_query::{Model, Parallel, PassOpts, QueryRouter, RoundAdaptive};
+use sgs_query::sharded::answer_batch_sharded;
+use sgs_query::{ExecPolicy, Model, Parallel, PassOpts, QueryRouter, RoundAdaptive, RouterArena};
 use sgs_stream::hash::split_seed;
-use sgs_stream::{EdgeStream, InsertionStream};
+use sgs_stream::{EdgeStream, InsertionStream, ShardedFeed};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -37,6 +38,8 @@ fn main() {
         .unwrap_or(8000);
     let g = gen::gnm(2000, 48_000, 3);
     let stream = InsertionStream::from_graph(&g, 4);
+    let feed = ShardedFeed::partition(&stream, 1);
+    let mut arena = RouterArena::new();
 
     // Capture the real protocol batches, then time each phase warm
     // (minimum of REPS runs).
@@ -69,12 +72,14 @@ fn main() {
         let mut whole_time = Duration::MAX;
         for _ in 0..REPS {
             let t = Instant::now();
-            black_box(answer_batch(
+            black_box(answer_batch_sharded(
                 Model::Insertion,
-                &batch,
-                &stream,
+                batch.clone(),
+                &feed,
                 pass_seed,
+                &mut arena,
                 PassOpts::default(),
+                ExecPolicy::serial(),
             ));
             whole_time = whole_time.min(t.elapsed());
         }

@@ -7,10 +7,17 @@
 use crate::AdjListGraph;
 use std::io::{BufRead, Write};
 
+/// Vertex ids in an edge list must be below this bound (2^26, about 67M
+/// vertices). The graph is indexed densely by id, so one stray huge id
+/// would otherwise size the adjacency tables for billions of vertices
+/// and abort the process on allocation.
+pub const MAX_VERTEX_ID: u32 = 1 << 26;
+
 /// Parse an edge list from a reader.
 ///
 /// Duplicate edges and self-loops are skipped (simple-graph semantics);
-/// malformed lines produce an error naming the line number.
+/// malformed lines, and ids at or above [`MAX_VERTEX_ID`], produce an
+/// error naming the line number.
 pub fn read_edge_list(r: impl BufRead) -> Result<AdjListGraph, String> {
     let mut edges: Vec<(u32, u32)> = Vec::new();
     let mut max_id = 0u32;
@@ -31,6 +38,13 @@ pub fn read_edge_list(r: impl BufRead) -> Result<AdjListGraph, String> {
             .ok_or_else(|| format!("line {}: missing target", lineno + 1))?
             .parse()
             .map_err(|e| format!("line {}: bad target ({e})", lineno + 1))?;
+        if a.max(b) >= MAX_VERTEX_ID {
+            return Err(format!(
+                "line {}: vertex id {} is not below {MAX_VERTEX_ID}",
+                lineno + 1,
+                a.max(b)
+            ));
+        }
         if a == b {
             continue;
         }

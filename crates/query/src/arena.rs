@@ -5,7 +5,7 @@
 //! pooled-slot vectors) rivals the feed cost itself (ROADMAP
 //! "Indexed-pass build cost"). The arena kills the rebuild *allocation*
 //! half of that bill: each shard owns one [`QueryRouter`] plus the
-//! sub-batch / slot-map / answer scratch the sharded executors need, all
+//! sub-batch / slot-map / answer scratch the shard passes need, all
 //! reused round over round via [`QueryRouter::rebuild`] and `Vec::clear`.
 //! After a warm-up run every per-round *router* rebuild is
 //! allocation-free, and the arena proves it with a growth counter:
@@ -13,11 +13,18 @@
 //! increase while the arena is warm increments
 //! [`RouterArena::growth_events_after_warmup`] (asserted zero by the
 //! `sharded_equivalence` suite). Scope: the counter covers the pooled
-//! routing state (routers, sub-batches, slot maps, answer scratch,
-//! driver scratch) — the executors' model-specific sampler state
-//! (reservoirs, ℓ₀ banks) is deliberately rebuilt per pass, because each
-//! pass seeds it afresh and its cost is dominated by sketch updates, not
+//! routing state (routers, sub-batches, slot maps, answer scratch) — the
+//! pass's own state (`f1` slot lists and position targets, reservoirs,
+//! ℓ₀ banks) is deliberately rebuilt per pass, because each pass seeds
+//! or draws it afresh and its cost is dominated by the feed, not
 //! allocation.
+//!
+//! **One shard pools nothing.** A one-shard pass takes the round's batch
+//! by value as slot 0's sub-batch (an empty slot map is the identity),
+//! hands slot 0's answer vector out as the round's answers, and then
+//! releases the batch and the router (`ShardSlot::release`): nothing
+//! would be reused — the next batch arrives by value — and a retained
+//! round-sized router only raises the process's peak footprint.
 //!
 //! The arena also records per-shard feed durations for each pass —
 //! the measurement `benches/sharded.rs` uses to report critical-path
@@ -33,7 +40,9 @@ pub(crate) struct ShardSlot {
     /// This shard's slice of the round's batch (vertex/edge-keyed
     /// queries whose routing key hashes here).
     pub(crate) sub_batch: Vec<Query>,
-    /// `sub_batch` index → global batch slot.
+    /// `sub_batch` index → global batch slot; empty means the identity
+    /// (a one-shard pass, whose sub-batch is the whole batch). Read it
+    /// through [`ShardSlot::global_slot`].
     pub(crate) slot_map: Vec<u32>,
     /// The shard-private router over `sub_batch`.
     pub(crate) router: QueryRouter,
@@ -45,6 +54,23 @@ pub(crate) struct ShardSlot {
 }
 
 impl ShardSlot {
+    /// The global batch slot of sub-batch entry `local`.
+    #[inline]
+    pub(crate) fn global_slot(&self, local: u32) -> u32 {
+        if self.slot_map.is_empty() {
+            local
+        } else {
+            self.slot_map[local as usize]
+        }
+    }
+
+    /// Drop the round-sized buffers of a one-shard pass: the batch it
+    /// took by value and the router built over it.
+    pub(crate) fn release(&mut self) {
+        self.sub_batch = Vec::new();
+        self.router = QueryRouter::empty();
+    }
+
     fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         self.sub_batch.capacity() * size_of::<Query>()
@@ -60,11 +86,6 @@ impl ShardSlot {
 #[derive(Default)]
 pub struct RouterArena {
     pub(crate) slots: Vec<ShardSlot>,
-    /// Driver-side pooled scratch: `EdgeCount` slots, `RandomEdge` slots,
-    /// and the centrally drawn `f1` position targets of the current pass.
-    pub(crate) scratch_count: Vec<u32>,
-    pub(crate) scratch_edge: Vec<u32>,
-    pub(crate) scratch_targets: Vec<(u64, u32)>,
     /// Peak heap footprint observed so far.
     high_water: usize,
     /// Set once a full run has completed through this arena.
@@ -116,11 +137,7 @@ impl RouterArena {
 
     /// Total bytes of backing storage across every pooled buffer.
     pub fn heap_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.slots.iter().map(ShardSlot::heap_bytes).sum::<usize>()
-            + self.scratch_count.capacity() * size_of::<u32>()
-            + self.scratch_edge.capacity() * size_of::<u32>()
-            + self.scratch_targets.capacity() * size_of::<(u64, u32)>()
+        self.slots.iter().map(ShardSlot::heap_bytes).sum()
     }
 
     /// Whether a full run has completed through this arena.

@@ -15,7 +15,7 @@
 //! with zero hash recomputes at the cursor. Delivery chunking differs
 //! (ring blocks vs one big slice) but chunk boundaries never change an
 //! answer, so broadcast answers are **byte-identical** to the sharded
-//! (and therefore single-stream, and therefore frozen-reference) answers
+//! (and therefore frozen-reference) answers
 //! for every seed, shard count, feed block size, and reservoir mode —
 //! `tests/broadcast_equivalence.rs` pins all of it.
 //!
@@ -219,12 +219,12 @@ pub(crate) fn drive_ring<P: FeedPass + Send>(
 
 /// Answer one round's batch with one **broadcast** pass in `model`: the
 /// fan-out generalization of [`crate::sharded::answer_batch_sharded`],
-/// byte-identical to it (and to the single-stream executors) for every
+/// byte-identical to it (and to the reference executors) for every
 /// shard count, with optional side consumers riding the same ingest.
 #[allow(clippy::too_many_arguments)]
 pub fn answer_batch_broadcast(
     model: Model,
-    batch: &[Query],
+    batch: Vec<Query>,
     feed: &ShardedFeed,
     pass_seed: u64,
     arena: &mut RouterArena,
@@ -240,7 +240,7 @@ pub fn answer_batch_broadcast(
         .collect();
     let ring = Broadcast::new(bcast.ring_capacity);
     let outcomes = drive_ring(feed, &ring, passes, bcast, side);
-    ctx.finish(model, batch.len(), feed, arena, outcomes)
+    ctx.finish(model, feed, arena, outcomes)
 }
 
 /// Execute a round-adaptive algorithm over broadcast passes in `model`:
@@ -334,7 +334,16 @@ mod tests {
         arena: &mut RouterArena,
     ) -> (Vec<Answer>, usize) {
         let bcast = BroadcastOpts::default();
-        answer_batch_broadcast(model, batch, feed, pass_seed, arena, opts(), bcast, &mut [])
+        answer_batch_broadcast(
+            model,
+            batch.to_vec(),
+            feed,
+            pass_seed,
+            arena,
+            opts(),
+            bcast,
+            &mut [],
+        )
     }
 
     fn mixed_insertion_batch() -> Vec<Query> {
@@ -396,7 +405,7 @@ mod tests {
         for policy in [ExecPolicy::threaded(), ExecPolicy::serial()] {
             let (got, _) = answer_batch_broadcast(
                 Model::Insertion,
-                &batch,
+                batch.clone(),
                 &feed,
                 5,
                 &mut arena,
@@ -425,7 +434,7 @@ mod tests {
             ];
             let (got, _) = answer_batch_broadcast(
                 Model::Insertion,
-                &batch,
+                batch.clone(),
                 &feed,
                 9,
                 &mut arena,

@@ -568,7 +568,7 @@ pub fn run_checkpointed<A: RoundAdaptive>(
         }
         let pass_seed = split_seed(seed, report.passes as u64);
         feed.begin_pass();
-        let ctx = PassCtx::begin(model, &batch, feed, pass_seed, arena);
+        let ctx = PassCtx::begin(model, batch, feed, pass_seed, arena);
         let mut passes: Vec<ShardPass<'_>> = arena.slots[..shards]
             .iter_mut()
             .map(|slot| ShardPass::new(model, slot, &ctx, pass_seed, opts))
@@ -612,16 +612,13 @@ pub fn run_checkpointed<A: RoundAdaptive>(
                 )?;
             }
             if session.crash_after == Some(session.blocks_processed) {
-                drop(passes);
-                arena.scratch_targets = ctx.targets;
-                arena.scratch_edge = ctx.f1_slots;
                 return Ok(None);
             }
         }
         resuming = false;
 
         let outcomes = passes.into_iter().map(ShardPass::finish).collect();
-        let (merged, space) = ctx.finish(model, batch.len(), feed, arena, outcomes);
+        let (merged, space) = ctx.finish(model, feed, arena, outcomes);
         report.max_pass_space_bytes = report.max_pass_space_bytes.max(space);
         answers = merged;
         history.push(answers.clone());

@@ -9,7 +9,8 @@
 //!   position sampling for `f1` (distributionally identical to a size-1
 //!   reservoir over a fixed-length pass, but O(1) per update), per-vertex
 //!   incident-edge reservoirs for relaxed `f3` (exactly uniform in a
-//!   simple graph; an SoA [`ReservoirBank`] whose acceptance scheme —
+//!   simple graph; an SoA [`sgs_stream::reservoir::ReservoirBank`] whose
+//!   acceptance scheme —
 //!   skip-ahead default vs the per-offer oracle — is picked by
 //!   [`PassOpts::reservoir`]), arrival-order watchers for indexed `f3`,
 //!   and counters/flags for `f2`/`f4` — the proof of Theorem 9;
@@ -20,20 +21,19 @@
 //!   deliberately drops them) and panic.
 //!
 //! Both streaming executors dispatch each update through one shared
-//! [`QueryRouter`]: the whole merged batch of a [`crate::Parallel`]
+//! [`crate::router::QueryRouter`]: the whole merged batch of a [`crate::Parallel`]
 //! sampler bank is bucketed into per-vertex and per-edge flat indexes at
 //! round start, so per-update work is O(1 + hits) regardless of how many
 //! trials are pending. The pre-refactor executors survive verbatim in
 //! [`crate::reference`]; seeded equivalence tests pin the two
 //! byte-identical.
 //!
-//! `run_insertion`/`run_turnstile` are the **single-shard cases** of the
-//! sharded pipeline in [`crate::sharded`]: they partition the stream into
-//! one shard and run the same round driver an N-shard execution uses.
-//! The per-batch entry point [`answer_batch`] keeps the direct
-//! single-stream implementation for either [`Model`] — it is the seam
-//! benchmarks and the one-shard sharded path run through, and the
-//! baseline the sharded path is measured against.
+//! There is one pass machine, the shard pass in [`crate::sharded`]: a
+//! single stream is a one-shard [`ShardedFeed`]. `run_insertion` /
+//! `run_turnstile` partition the stream into one shard and run the same
+//! round driver an N-shard execution uses, and the per-batch entry point
+//! [`answer_batch`] answers one round the same way, for either
+//! [`Model`].
 //!
 //! Executors never contribute algorithm randomness: the per-pass sketch
 //! seeds only decide *which* uniform sample each query receives, mirroring
@@ -45,12 +45,11 @@ use crate::oracle::GraphOracle;
 use crate::policy::ExecPolicy;
 use crate::query::{Answer, Query};
 use crate::round::RoundAdaptive;
-use crate::router::{Model, QueryRouter};
-use sgs_graph::{Edge, VertexId};
-use sgs_stream::hash::{split_seed, FastRng};
-use sgs_stream::l0::{L0Mode, L0Sampler};
-use sgs_stream::reservoir::{ReservoirBank, ReservoirMode};
-use sgs_stream::{EdgeStream, ShardedFeed, SpaceUsage};
+use crate::router::Model;
+use crate::sharded::{InsertionShardPass, PassCtx};
+use sgs_stream::l0::L0Mode;
+use sgs_stream::reservoir::ReservoirMode;
+use sgs_stream::{EdgeStream, ShardedFeed};
 
 /// Bytes charged per retained answer (Theorem 9's `O(q log n)` term).
 pub(crate) const ANSWER_BYTES: usize = 16;
@@ -157,70 +156,6 @@ impl PassOpts {
     }
 }
 
-/// A pass-emulation state that can absorb the stream either per update
-/// (scalar) or per block (batched probes / lane loops) — the two
-/// byte-identical feed paths [`replay_blocked`] switches between.
-pub(crate) trait BlockFeed {
-    fn feed(&mut self, u: sgs_stream::EdgeUpdate);
-    fn feed_block(&mut self, block: &[sgs_stream::EdgeUpdate]);
-}
-
-/// Drive a replayable stream through a pass state in blocks of `block`
-/// updates (remainder block included); `block <= 1` is the scalar path.
-/// Sources that expose their update buffer are chunked in place (zero
-/// copies); everything else is buffered through the replay callback.
-pub(crate) fn replay_blocked(stream: &impl EdgeStream, block: usize, pass: &mut impl BlockFeed) {
-    if block <= 1 {
-        stream.replay(&mut |u| pass.feed(u));
-        return;
-    }
-    if let Some(updates) = stream.as_updates() {
-        for chunk in updates.chunks(block) {
-            pass.feed_block(chunk);
-        }
-        return;
-    }
-    let mut buf: Vec<sgs_stream::EdgeUpdate> = Vec::with_capacity(block.min(stream.len()));
-    stream.replay(&mut |u| {
-        buf.push(u);
-        if buf.len() == block {
-            pass.feed_block(&buf);
-            buf.clear();
-        }
-    });
-    if !buf.is_empty() {
-        pass.feed_block(&buf);
-    }
-}
-
-/// Sort `f1` position targets by `(position, slot)`. Positions live in
-/// `0..stream_len`, so when a counting table is affordable a two-pass
-/// bucket sort beats the comparison sort that dominates round-1 setup at
-/// large trial counts. Targets arrive slot-ascending, so bucketing is
-/// stable in exactly the comparison order.
-pub(crate) fn sort_targets(targets: &mut Vec<(u64, u32)>, stream_len: u64) {
-    if targets.is_empty() {
-        return;
-    }
-    if stream_len > 4 * targets.len() as u64 + 1024 {
-        targets.sort_unstable();
-        return;
-    }
-    let mut counts = vec![0u32; stream_len as usize + 1];
-    for &(pos, _) in targets.iter() {
-        counts[pos as usize + 1] += 1;
-    }
-    for i in 1..counts.len() {
-        counts[i] += counts[i - 1];
-    }
-    let mut sorted = vec![(0u64, 0u32); targets.len()];
-    for &(pos, slot) in targets.iter() {
-        sorted[counts[pos as usize] as usize] = (pos, slot);
-        counts[pos as usize] += 1;
-    }
-    *targets = sorted;
-}
-
 /// Execute against a query oracle; returns the output and the adaptivity
 /// actually used.
 pub fn run_on_oracle<A: RoundAdaptive>(
@@ -242,131 +177,6 @@ pub fn run_on_oracle<A: RoundAdaptive>(
     (alg.output(), report)
 }
 
-/// Per-pass state for the insertion-only model: the shared router plus
-/// the model-specific `f1` position cursor and `f3` reservoirs.
-struct InsertionPass {
-    router: QueryRouter,
-    /// `f1`: (target stream position, query slot), sorted by position.
-    /// Sampling a uniform position is exactly the distribution of a
-    /// size-1 reservoir over a fixed-length pass.
-    targets: Vec<(u64, u32)>,
-    cursor: usize,
-    update_idx: u64,
-    edge_hits: Vec<(u32, Edge)>,
-    /// Relaxed `f3`: an SoA reservoir bank, one lane per pooled neighbor
-    /// slot, aligned with [`QueryRouter::neighbor_slots`]. Router
-    /// deliveries hand the bank contiguous lane ranges, so skip mode
-    /// pays a countdown compare per pooled sampler instead of an RNG
-    /// draw per offer.
-    reservoirs: ReservoirBank<Edge>,
-}
-
-impl InsertionPass {
-    fn build(batch: &[Query], stream_len: u64, pass_seed: u64, reservoir: ReservoirMode) -> Self {
-        let router = QueryRouter::build(batch, Model::Insertion);
-        // f1 position draws are consumed in batch order from the pass rng
-        // (`edge_slots` preserves batch order), matching the reference
-        // executor coin-for-coin.
-        let mut rng = FastRng::seed_from_u64(pass_seed);
-        let mut targets = Vec::with_capacity(router.edge_slots().len());
-        if stream_len > 0 {
-            for &slot in router.edge_slots() {
-                targets.push((rng.gen_range(0..stream_len), slot));
-            }
-        }
-        sort_targets(&mut targets, stream_len);
-        let mut reservoirs = ReservoirBank::from_seeds(
-            router
-                .neighbor_slots()
-                .iter()
-                .map(|&slot| split_seed(pass_seed, slot as u64)),
-            reservoir,
-        );
-        // Each pooled vertex group is a cohort: its lanes always receive
-        // offers together, so a skip-mode delivery is one clock-vs-min
-        // compare instead of a per-lane plane walk.
-        reservoirs.bind_cohorts(router.neighbor_group_ranges());
-        InsertionPass {
-            router,
-            targets,
-            cursor: 0,
-            update_idx: 0,
-            edge_hits: Vec::new(),
-            reservoirs,
-        }
-    }
-
-    #[inline]
-    fn feed(&mut self, u: sgs_stream::EdgeUpdate) {
-        debug_assert!(u.is_insert(), "insertion executor fed a deletion");
-        while self.cursor < self.targets.len() && self.targets[self.cursor].0 == self.update_idx {
-            self.edge_hits.push((self.targets[self.cursor].1, u.edge));
-            self.cursor += 1;
-        }
-        self.update_idx += 1;
-        let edge = u.edge;
-        let reservoirs = &mut self.reservoirs;
-        self.router.feed(u, |s, e| {
-            reservoirs.offer_cohort(s as usize, e as usize, edge)
-        });
-    }
-
-    /// Blocked sibling of [`InsertionPass::feed`]: position targets are
-    /// matched per update (they are position-keyed, not probe-keyed),
-    /// then the whole block goes through the router's batched-probe
-    /// path. Reservoir offer sequences are unchanged — the router drains
-    /// blocks in stream order.
-    fn feed_block(&mut self, block: &[sgs_stream::EdgeUpdate]) {
-        for u in block {
-            debug_assert!(u.is_insert(), "insertion executor fed a deletion");
-            while self.cursor < self.targets.len() && self.targets[self.cursor].0 == self.update_idx
-            {
-                self.edge_hits.push((self.targets[self.cursor].1, u.edge));
-                self.cursor += 1;
-            }
-            self.update_idx += 1;
-        }
-        let reservoirs = &mut self.reservoirs;
-        self.router.feed_block(block, |j, s, e| {
-            reservoirs.offer_cohort(s as usize, e as usize, block[j].edge)
-        });
-    }
-
-    fn space_bytes(&self) -> usize {
-        self.router.space_bytes() + self.targets.len() * 16 + self.reservoirs.space_bytes()
-    }
-}
-
-impl BlockFeed for InsertionPass {
-    fn feed(&mut self, u: sgs_stream::EdgeUpdate) {
-        InsertionPass::feed(self, u);
-    }
-
-    fn feed_block(&mut self, block: &[sgs_stream::EdgeUpdate]) {
-        InsertionPass::feed_block(self, block);
-    }
-}
-
-impl InsertionPass {
-    fn into_answers(self) -> Vec<Answer> {
-        let mut answers = vec![Answer::Edge(None); self.router.batch_len()];
-        for &(slot, e) in &self.edge_hits {
-            answers[slot as usize] = Answer::Edge(Some(e));
-        }
-        for ((&slot, v), res) in self
-            .router
-            .neighbor_slots()
-            .iter()
-            .zip(self.router.neighbor_vertices())
-            .zip(self.reservoirs.samples_iter())
-        {
-            answers[slot as usize] = Answer::Neighbor(res.map(|e| e.other(v)));
-        }
-        self.router.distribute(&mut answers);
-        answers
-    }
-}
-
 /// Diagnostic twin of [`answer_batch`] for the insertion model: run the
 /// same pass and report how many RNG draws the relaxed-`f3` reservoir
 /// bank consumed. The acceptance criteria for the skip-ahead rework are
@@ -379,18 +189,26 @@ pub fn insertion_pass_reservoir_draws(
     pass_seed: u64,
     opts: PassOpts,
 ) -> u64 {
-    let mut pass = InsertionPass::build(batch, stream.len() as u64, pass_seed, opts.reservoir);
-    replay_blocked(stream, opts.block, &mut pass);
-    pass.reservoirs.rng_draws()
+    let feed = ShardedFeed::partition(stream, 1);
+    let mut arena = RouterArena::new();
+    let ctx = PassCtx::begin(
+        Model::Insertion,
+        batch.to_vec(),
+        &feed,
+        pass_seed,
+        &mut arena,
+    );
+    let mut pass = InsertionShardPass::new(&mut arena.slots[0], &ctx.targets, pass_seed, opts);
+    pass.feed(feed.shard(0));
+    pass.reservoir_draws()
 }
 
 /// Execute as an insertion-only streaming algorithm: one pass per round
 /// (Theorem 9).
 ///
-/// The thin single-shard case of [`crate::sharded::run_sharded`]: the
-/// stream is partitioned into one shard and each round is answered
-/// through the sharded driver (which at one shard replays the feed
-/// straight through [`answer_batch`], keeping the direct per-pass cost).
+/// The thin one-shard case of [`crate::sharded::run_sharded`]: the
+/// stream is partitioned into one shard and each round is answered by
+/// the shard pass.
 ///
 /// The partition buffers the stream's updates once (driver-side harness
 /// state, like the replayable stream object itself — *not* counted in
@@ -437,137 +255,15 @@ fn run_single_shard<A: RoundAdaptive>(
     )
 }
 
-/// Per-pass state for the turnstile model: the shared router plus one
-/// ℓ₀-sampler per `f1` slot and per pooled neighbor slot.
-struct TurnstilePass {
-    router: QueryRouter,
-    edge_samplers: Vec<L0Sampler>,
-    nbr_samplers: Vec<L0Sampler>,
-    /// The vertex each pooled neighbor sampler listens on.
-    nbr_verts: Vec<VertexId>,
-    /// Blocked-feed scratch: the current block as `(edge key, delta)`
-    /// pairs, fed to each `f1` ℓ₀-bank sampler-hot.
-    kd_scratch: Vec<(u64, i64)>,
-    /// ℓ₀-bank feed path; bit-identical either way ([`PassOpts::l0`]).
-    l0: L0Mode,
-}
-
-impl TurnstilePass {
-    fn build(batch: &[Query], n: usize, pass_seed: u64, l0: L0Mode) -> Self {
-        let router = QueryRouter::build(batch, Model::Turnstile);
-        let edge_samplers = router
-            .edge_slots()
-            .iter()
-            .map(|&slot| L0Sampler::for_edge_domain(n, split_seed(pass_seed, slot as u64)))
-            .collect();
-        let nbr_samplers = router
-            .neighbor_slots()
-            .iter()
-            .map(|&slot| L0Sampler::for_edge_domain(n, split_seed(pass_seed, slot as u64)))
-            .collect();
-        let nbr_verts = router.neighbor_vertices().collect();
-        TurnstilePass {
-            router,
-            edge_samplers,
-            nbr_samplers,
-            nbr_verts,
-            kd_scratch: Vec::new(),
-            l0,
-        }
-    }
-
-    #[inline]
-    fn feed(&mut self, u: sgs_stream::EdgeUpdate) {
-        let d = u.delta as i64;
-        let key = u.edge.key();
-        let l0 = self.l0;
-        // Every f1 sampler summarizes the whole edge domain, so each one
-        // absorbs every update — inherent to ℓ₀-sampling, not routing.
-        for s in &mut self.edge_samplers {
-            s.update_with(l0, key, d);
-        }
-        let edge = u.edge;
-        let nbr_samplers = &mut self.nbr_samplers;
-        let nbr_verts = &self.nbr_verts;
-        self.router.feed(u, |s, e| {
-            for i in s as usize..e as usize {
-                nbr_samplers[i].update_with(l0, edge.other(nbr_verts[i]).0 as u64, d);
-            }
-        });
-    }
-
-    /// Blocked sibling of [`TurnstilePass::feed`]: the `f1` bank absorbs
-    /// the block *samplers outer, updates inner* — each ℓ₀-bank's SoA
-    /// planes stay cache-hot across the whole block instead of every
-    /// bank cycling through cache per update. Detector fields are
-    /// additive, so the reordering is bit-identical, not just
-    /// distributionally so.
-    fn feed_block(&mut self, block: &[sgs_stream::EdgeUpdate]) {
-        self.kd_scratch.clear();
-        self.kd_scratch
-            .extend(block.iter().map(|u| (u.edge.key(), u.delta as i64)));
-        let l0 = self.l0;
-        for s in &mut self.edge_samplers {
-            s.update_batch_with(l0, &self.kd_scratch);
-        }
-        let nbr_samplers = &mut self.nbr_samplers;
-        let nbr_verts = &self.nbr_verts;
-        self.router.feed_block(block, |j, s, e| {
-            let u = block[j];
-            for i in s as usize..e as usize {
-                nbr_samplers[i].update_with(
-                    l0,
-                    u.edge.other(nbr_verts[i]).0 as u64,
-                    u.delta as i64,
-                );
-            }
-        });
-    }
-
-    fn space_bytes(&self) -> usize {
-        self.router.space_bytes()
-            + self
-                .edge_samplers
-                .iter()
-                .chain(&self.nbr_samplers)
-                .map(|s| s.space_bytes())
-                .sum::<usize>()
-            // Blocked-feed scratch is real pass state: one (key, delta)
-            // pair per update of the current block.
-            + self.kd_scratch.capacity() * std::mem::size_of::<(u64, i64)>()
-    }
-}
-
-impl BlockFeed for TurnstilePass {
-    fn feed(&mut self, u: sgs_stream::EdgeUpdate) {
-        TurnstilePass::feed(self, u);
-    }
-
-    fn feed_block(&mut self, block: &[sgs_stream::EdgeUpdate]) {
-        TurnstilePass::feed_block(self, block);
-    }
-}
-
-impl TurnstilePass {
-    fn into_answers(self) -> Vec<Answer> {
-        let mut answers = vec![Answer::Edge(None); self.router.batch_len()];
-        for (&slot, s) in self.router.edge_slots().iter().zip(&self.edge_samplers) {
-            answers[slot as usize] = Answer::Edge(s.sample().map(Edge::from_key));
-        }
-        for (&slot, s) in self.router.neighbor_slots().iter().zip(&self.nbr_samplers) {
-            answers[slot as usize] = Answer::Neighbor(s.sample().map(|k| VertexId(k as u32)));
-        }
-        self.router.distribute(&mut answers);
-        answers
-    }
-}
-
-/// Answer one round's batch with one single-stream pass: the unit step
-/// of Theorem 9 (insertion) or Theorem 11 (turnstile). Returns the
-/// answers and the pass state's measured footprint. `opts.block <= 1`
-/// replays the scalar per-update path, anything larger feeds the pass in
-/// blocks (batched index probes, ℓ₀ lane loops); answers are
-/// byte-identical for every block size and ℓ₀ feed path.
+/// Answer one round's batch with one pass over `stream`, as a one-shard
+/// feed: the unit step of Theorem 9 (insertion) or Theorem 11
+/// (turnstile). Returns the answers and the pass state's measured
+/// footprint. `opts.block <= 1` replays the scalar per-update path,
+/// anything larger feeds the pass in blocks (batched index probes, ℓ₀
+/// lane loops); answers are byte-identical for every block size and ℓ₀
+/// feed path. Partitions the stream on every call — callers answering
+/// many rounds over one stream partition once and call
+/// [`crate::sharded::answer_batch_sharded`].
 pub fn answer_batch(
     model: Model,
     batch: &[Query],
@@ -575,21 +271,15 @@ pub fn answer_batch(
     pass_seed: u64,
     opts: PassOpts,
 ) -> (Vec<Answer>, usize) {
-    match model {
-        Model::Insertion => {
-            let mut pass =
-                InsertionPass::build(batch, stream.len() as u64, pass_seed, opts.reservoir);
-            replay_blocked(stream, opts.block, &mut pass);
-            let space = pass.space_bytes();
-            (pass.into_answers(), space)
-        }
-        Model::Turnstile => {
-            let mut pass = TurnstilePass::build(batch, stream.num_vertices(), pass_seed, opts.l0);
-            replay_blocked(stream, opts.block, &mut pass);
-            let space = pass.space_bytes();
-            (pass.into_answers(), space)
-        }
-    }
+    crate::sharded::answer_batch_sharded(
+        model,
+        batch.to_vec(),
+        &ShardedFeed::partition(stream, 1),
+        pass_seed,
+        &mut RouterArena::new(),
+        opts,
+        ExecPolicy::serial(),
+    )
 }
 
 #[cfg(test)]
@@ -598,6 +288,7 @@ mod tests {
     use crate::oracle::ExactOracle;
     use crate::reference::{run_insertion_reference, run_turnstile_reference};
     use sgs_graph::{gen, StaticGraph};
+    use sgs_graph::{Edge, VertexId};
     use sgs_stream::{InsertionStream, TurnstileStream};
 
     /// Asks a degree, then that many adjacency checks (2 rounds).

@@ -28,8 +28,8 @@
 //!   growth after warm-up),
 //! * [`sharded`] — the sharded pipeline: per-shard routers over a
 //!   hash-partitioned [`sgs_stream::ShardedFeed`], merged back into
-//!   byte-identical single-stream answers; the single-stream executors
-//!   are its one-shard case,
+//!   byte-identical single-stream answers; its shard pass is the only
+//!   pass machine, and a single stream is a one-shard feed,
 //! * [`broadcast`] — broadcast ingest: the same per-shard pass state
 //!   machines drawing from the cursors of one bounded
 //!   [`sgs_stream::Broadcast`] ring, with side consumers (baselines,

@@ -55,13 +55,13 @@
 use crate::accounting::ExecReport;
 use crate::arena::{RouterArena, ShardSlot};
 use crate::broadcast::{drive_ring, BroadcastOpts};
-use crate::exec::{sort_targets, PassOpts, ANSWER_BYTES};
+use crate::exec::{PassOpts, ANSWER_BYTES};
 use crate::policy::ExecPolicy;
 use crate::query::{Answer, Query};
 use crate::round::RoundAdaptive;
 use crate::router::Model;
 use crate::sharded::{
-    run_shards, split_batch, FeedPass, PassCtx, ShardOutcome, TurnstileShardPass,
+    match_targets, run_shards, sort_targets, FeedPass, PassCtx, ShardOutcome, TurnstileShardPass,
 };
 use sgs_graph::{Edge, VertexId};
 use sgs_stream::broadcast::Broadcast;
@@ -327,9 +327,10 @@ impl<A: RoundAdaptive> QuerySet<A> {
             }
             plan.starts.push(plan.concat.len());
             round_no += 1;
+            let batch_len = plan.concat.len();
             let (answers, space) = mux_pass(
                 model,
-                &plan,
+                &mut plan,
                 feed,
                 arena,
                 opts,
@@ -356,7 +357,7 @@ impl<A: RoundAdaptive> QuerySet<A> {
             admission.rounds.push(MuxRoundStats {
                 round: round_no,
                 participants: plan.participants,
-                batch_len: plan.concat.len(),
+                batch_len,
                 pass_nanos: round_nanos,
             });
             arena.note_round();
@@ -405,21 +406,29 @@ struct RoundPlan {
 
 /// Draw every participant's `f1` targets from its own pass rng in its
 /// own batch order (the solo coin sequences), keyed by merged slot, then
-/// sort by position for cursor matching. Push order has ascending merged
-/// slots (participants are planned in job order), matching what
-/// `sort_targets` expects from the solo draw.
-fn draw_mux_targets(plan: &RoundPlan, stream_len: u64, targets: &mut Vec<(u64, u32)>) {
-    targets.clear();
+/// sort by position for cursor matching. `f1_slots` ascends and each
+/// participant's merged range is contiguous, so one rng per participant
+/// walks its slots in its solo order, and the push order (ascending
+/// merged slots) is what `sort_targets` expects from the solo draw.
+fn draw_mux_targets(
+    plan: &RoundPlan,
+    f1_slots: &[u32],
+    stream_len: u64,
+    targets: &mut Vec<(u64, u32)>,
+) {
     if stream_len == 0 {
         return;
     }
-    for (p, &pass_seed) in plan.pass_seeds.iter().enumerate() {
-        let mut rng = FastRng::seed_from_u64(pass_seed);
-        for gs in plan.starts[p]..plan.starts[p + 1] {
-            if matches!(plan.concat[gs], Query::RandomEdge) {
-                targets.push((rng.gen_range(0..stream_len), gs as u32));
-            }
+    targets.reserve_exact(f1_slots.len());
+    let mut owner = None;
+    let mut rng = FastRng::seed_from_u64(0);
+    for &gs in f1_slots {
+        let p = plan.slot_part[gs as usize];
+        if owner != Some(p) {
+            owner = Some(p);
+            rng = FastRng::seed_from_u64(plan.pass_seeds[p as usize]);
         }
+        targets.push((rng.gen_range(0..stream_len), gs));
     }
     sort_targets(targets, stream_len);
 }
@@ -480,7 +489,7 @@ fn build_lane_tables(
     let mut lane_seeds: Vec<Vec<u64>> = vec![Vec::new(); nparts];
     let mut lane_owner: Vec<(u32, u32)> = Vec::with_capacity(nbr_slots.len());
     for &ls in nbr_slots {
-        let gs = slot.slot_map[ls as usize] as usize;
+        let gs = slot.global_slot(ls) as usize;
         let p = plan.slot_part[gs] as usize;
         lane_owner.push((p as u32, lane_seeds[p].len() as u32));
         lane_seeds[p].push(plan.slot_seeds[gs]);
@@ -551,16 +560,7 @@ impl<'a> MuxInsertionShardPass<'a> {
     fn feed(&mut self, deliveries: &[ShardUpdate]) {
         if self.block <= 1 {
             for su in deliveries {
-                debug_assert!(su.update.is_insert(), "insertion executor fed a deletion");
-                let pos = su.position as u64;
-                while self.cursor < self.targets.len() && self.targets[self.cursor].0 < pos {
-                    self.cursor += 1;
-                }
-                while self.cursor < self.targets.len() && self.targets[self.cursor].0 == pos {
-                    self.edge_hits
-                        .push((self.targets[self.cursor].1, su.update.edge));
-                    self.cursor += 1;
-                }
+                match_targets(self.targets, &mut self.cursor, &mut self.edge_hits, su);
                 let edge = su.update.edge;
                 let banks = &mut self.banks;
                 let segments = &self.segments;
@@ -581,16 +581,7 @@ impl<'a> MuxInsertionShardPass<'a> {
             for chunk in deliveries.chunks(self.block) {
                 buf.clear();
                 for su in chunk {
-                    debug_assert!(su.update.is_insert(), "insertion executor fed a deletion");
-                    let pos = su.position as u64;
-                    while self.cursor < self.targets.len() && self.targets[self.cursor].0 < pos {
-                        self.cursor += 1;
-                    }
-                    while self.cursor < self.targets.len() && self.targets[self.cursor].0 == pos {
-                        self.edge_hits
-                            .push((self.targets[self.cursor].1, su.update.edge));
-                        self.cursor += 1;
-                    }
+                    match_targets(self.targets, &mut self.cursor, &mut self.edge_hits, su);
                     buf.push(su.update);
                 }
                 let banks = &mut self.banks;
@@ -697,14 +688,15 @@ impl FeedPass for MuxShardPass<'_> {
     }
 }
 
-/// One shared pass over the whole merged batch: split, draw every
-/// participant's `f1` targets (insertion), run every shard's machine on
+/// One shared pass over the whole merged batch, which it takes out of
+/// `plan` (a one-shard split moves it instead of copying): split, draw
+/// every participant's `f1` targets (insertion), run every shard's machine on
 /// the chosen engine, merge back. On the ring the producer runs with a
 /// stall threshold; recorded stalls are appended to `stalls` so the
 /// admission report can name the consumer a slow round was blocked on.
 fn mux_pass(
     model: Model,
-    plan: &RoundPlan,
+    plan: &mut RoundPlan,
     feed: &ShardedFeed,
     arena: &mut RouterArena,
     opts: PassOpts,
@@ -712,10 +704,15 @@ fn mux_pass(
     stalls: &mut Vec<StallEvent>,
 ) -> (Vec<Answer>, usize) {
     let shards = feed.num_shards();
-    split_batch(&plan.concat, model, feed.shard_map(), arena);
-    let mut ctx = PassCtx::take(arena, feed);
+    let mut ctx = PassCtx::split(model, std::mem::take(&mut plan.concat), feed, arena);
+    let plan = &*plan;
     if model == Model::Insertion {
-        draw_mux_targets(plan, feed.stream_len() as u64, &mut ctx.targets);
+        draw_mux_targets(
+            plan,
+            &ctx.f1_slots,
+            feed.stream_len() as u64,
+            &mut ctx.targets,
+        );
     }
     let slots = &mut arena.slots[..shards];
     let outcomes = match engine {
@@ -733,7 +730,7 @@ fn mux_pass(
             outcomes
         }
     };
-    ctx.finish(model, plan.concat.len(), feed, arena, outcomes)
+    ctx.finish(model, feed, arena, outcomes)
 }
 
 #[cfg(test)]

@@ -29,7 +29,7 @@
 //!   the same per-shard delivery sequences with the same global-slot
 //!   seeds; scheduling (and pinning) decides where the work runs, never
 //!   what it computes. `tests/broadcast_equivalence.rs` pins the
-//!   persistent path against the single-stream executors.
+//!   persistent path against the one-shard and reference executors.
 //!
 //! [`crate::broadcast::run_broadcast`] constructs one runtime per run
 //! whenever the injected policy threads and the caller brings none, so
@@ -227,13 +227,13 @@ impl ShardRuntime {
 
     /// One broadcast pass in `model` over the persistent workers —
     /// byte-identical to [`crate::broadcast::answer_batch_broadcast`]
-    /// (and therefore to the single-stream executors) for every shard
+    /// (and therefore to the reference executors) for every shard
     /// count, ring geometry, and placement.
     #[allow(clippy::too_many_arguments)]
     pub fn pass(
         &mut self,
         model: Model,
-        batch: &[Query],
+        batch: Vec<Query>,
         feed: &ShardedFeed,
         pass_seed: u64,
         arena: &mut RouterArena,
@@ -271,7 +271,7 @@ impl ShardRuntime {
         let Ok(ctx) = Arc::try_unwrap(ctx) else {
             unreachable!("every worker releases the pass context before it replies");
         };
-        ctx.finish(model, batch.len(), feed, arena, outcomes)
+        ctx.finish(model, feed, arena, outcomes)
     }
 }
 
@@ -325,7 +325,7 @@ mod tests {
                 );
                 let (b, _) = rt.pass(
                     Model::Insertion,
-                    &batch,
+                    batch.clone(),
                     &feed,
                     pass_seed,
                     &mut arena,
@@ -358,7 +358,7 @@ mod tests {
                 );
                 let (b, _) = rt.pass(
                     Model::Turnstile,
-                    &batch,
+                    batch.clone(),
                     &feed,
                     pass_seed,
                     &mut arena,
@@ -383,7 +383,7 @@ mod tests {
             let mut rt = ShardRuntime::new(3, policy);
             let (got, _) = rt.pass(
                 Model::Insertion,
-                &batch,
+                batch.clone(),
                 &feed,
                 9,
                 &mut arena,
@@ -413,7 +413,7 @@ mod tests {
             ];
             let (got, _) = rt.pass(
                 Model::Insertion,
-                &batch,
+                batch.clone(),
                 &feed,
                 11,
                 &mut arena,
@@ -438,7 +438,7 @@ mod tests {
         for pass_seed in 0..3u64 {
             let _ = rt.pass(
                 Model::Insertion,
-                &batch,
+                batch.clone(),
                 &feed,
                 pass_seed,
                 &mut arena,

@@ -11,17 +11,21 @@
 //! its pooled router from the [`crate::arena::RouterArena`] and replays
 //! only its own buffer.
 //!
+//! This is the only pass machine: a single stream is a one-shard feed
+//! (the [`crate::exec`] entry points partition it so), and at one shard
+//! the batch moves whole into slot 0, whose router answers every kind
+//! but `f1`.
+//!
 //! **Equivalence, not approximation.** The sharded pass produces answers
-//! byte-identical to the single-stream executors (and therefore to the
-//! frozen `crate::reference` oracle) for every fixed seed and any shard
-//! count, because nothing about a query's answer depends on updates its
-//! shard doesn't see:
+//! byte-identical to the frozen `crate::reference` oracle for every
+//! fixed seed and any shard count, because nothing about a query's
+//! answer depends on updates its shard doesn't see:
 //!
 //! * a shard receives every update incident to a vertex it owns, in
 //!   stream order, so degree counts, watcher arrivals, and neighbor
 //!   sampler offer sequences are unchanged;
 //! * samplers are seeded by their **global** batch slot
-//!   (`split_seed(pass_seed, slot)`), the same coins the single-stream
+//!   (`split_seed(pass_seed, slot)`), the same coins the reference
 //!   executors hand out;
 //! * `f1` targets are drawn from the pass rng in batch order before any
 //!   shard runs — the same draw sequence as a single-stream pass — and
@@ -44,7 +48,7 @@
 
 use crate::accounting::ExecReport;
 use crate::arena::{RouterArena, ShardSlot};
-use crate::exec::{sort_targets, PassOpts, ANSWER_BYTES};
+use crate::exec::{PassOpts, ANSWER_BYTES};
 use crate::policy::ExecPolicy;
 use crate::query::{Answer, Query};
 use crate::round::RoundAdaptive;
@@ -54,7 +58,7 @@ use sgs_stream::hash::{split_seed, FastRng};
 use sgs_stream::l0::L0Sampler;
 use sgs_stream::persist::{frame, read_frame_of, Decoder, Encoder, PersistResult, KIND_PASS_STATE};
 use sgs_stream::reservoir::ReservoirBank;
-use sgs_stream::sharded::{ShardMap, ShardUpdate, ShardedFeed};
+use sgs_stream::sharded::{ShardUpdate, ShardedFeed};
 use sgs_stream::EdgeUpdate;
 use std::time::Instant;
 
@@ -71,96 +75,139 @@ pub(crate) struct ShardOutcome {
     pub(crate) space_bytes: usize,
 }
 
-/// Split a batch into per-shard sub-batches (vertex/edge-keyed kinds) and
-/// the driver-kept global slot lists (`EdgeCount`, `RandomEdge`). Routing
-/// goes through the feed's [`ShardMap`] — the same placement (uniform
-/// hash plus any load-balancing overrides) the delivery buffers were
-/// built with, which is exactly why placement never changes answers.
-pub(crate) fn split_batch(batch: &[Query], model: Model, map: &ShardMap, arena: &mut RouterArena) {
-    let shards = map.num_shards();
-    arena.ensure_shards(shards);
-    for slot in &mut arena.slots[..shards] {
-        slot.sub_batch.clear();
-        slot.slot_map.clear();
+/// Sort `f1` position targets by `(position, slot)`. Positions live in
+/// `0..stream_len`, so when a counting table is affordable a two-pass
+/// bucket sort beats the comparison sort that dominates round-1 setup at
+/// large trial counts. Targets arrive slot-ascending, so bucketing is
+/// stable in exactly the comparison order.
+pub(crate) fn sort_targets(targets: &mut Vec<(u64, u32)>, stream_len: u64) {
+    if targets.is_empty() {
+        return;
     }
-    arena.scratch_count.clear();
-    arena.scratch_edge.clear();
-    for (i, q) in batch.iter().enumerate() {
-        let shard = match *q {
-            Query::EdgeCount => {
-                arena.scratch_count.push(i as u32);
-                continue;
-            }
-            Query::RandomEdge => {
-                arena.scratch_edge.push(i as u32);
-                continue;
-            }
-            Query::Degree(v) | Query::RandomNeighbor(v) => map.shard_of(v.0),
-            Query::IthNeighbor(v, _) => {
-                if model == Model::Turnstile {
-                    panic!(
-                        "IthNeighbor is not available in the turnstile model \
-                         (Definition 10 replaces it with RandomNeighbor)"
-                    );
-                }
-                map.shard_of(v.0)
-            }
-            // The canonical endpoint's shard sees every update of this
-            // edge (it is an endpoint), so it can answer `f4` alone.
-            Query::Adjacent(u, v) => map.shard_of(Edge::new(u, v).u().0),
-        };
-        let slot = &mut arena.slots[shard];
-        slot.sub_batch.push(*q);
-        slot.slot_map.push(i as u32);
+    if stream_len > 4 * targets.len() as u64 + 1024 {
+        targets.sort_unstable();
+        return;
     }
+    let mut counts = vec![0u32; stream_len as usize + 1];
+    for &(pos, _) in targets.iter() {
+        counts[pos as usize + 1] += 1;
+    }
+    for i in 1..counts.len() {
+        counts[i] += counts[i - 1];
+    }
+    let mut sorted = vec![(0u64, 0u32); targets.len()];
+    for &(pos, slot) in targets.iter() {
+        sorted[counts[pos as usize] as usize] = (pos, slot);
+        counts[pos as usize] += 1;
+    }
+    *targets = sorted;
 }
 
-/// What every shard pass of one round shares: the driver-side `f1`
-/// plan. Built by the pass prologue ([`PassCtx::begin`]) from the
-/// arena's pooled scratch, consumed by the epilogue ([`PassCtx::finish`]),
-/// which hands the buffers back.
+/// What every shard pass of one round shares: the driver-side half of
+/// the batch. Built by the pass prologue ([`PassCtx::split`] /
+/// [`PassCtx::begin`]), consumed by the epilogue ([`PassCtx::finish`]).
+/// Its buffers are per-pass state, like the samplers: the arena does not
+/// keep them.
 pub(crate) struct PassCtx {
     pub(crate) num_vertices: usize,
-    /// Insertion: the round's `f1` position targets `(position, global
-    /// slot)`, sorted by position. Empty in the turnstile model.
-    pub(crate) targets: Vec<(u64, u32)>,
+    batch_len: usize,
+    /// The round's `EdgeCount` global slots, answered from the feed's
+    /// net delta.
+    count_slots: Vec<u32>,
     /// The round's `RandomEdge` global slots, in batch order. Turnstile
     /// `f1` ℓ₀-banks are seeded by, and answer, these slots.
     pub(crate) f1_slots: Vec<u32>,
+    /// Insertion: the round's `f1` position targets `(position, global
+    /// slot)`, sorted by position. Empty in the turnstile model.
+    pub(crate) targets: Vec<(u64, u32)>,
 }
 
 impl PassCtx {
-    /// Take the pooled `f1` buffers out of the arena. [`split_batch`]
-    /// must already have filled the `RandomEdge` slot list.
-    pub(crate) fn take(arena: &mut RouterArena, feed: &ShardedFeed) -> Self {
-        let mut targets = std::mem::take(&mut arena.scratch_targets);
-        targets.clear();
-        PassCtx {
-            num_vertices: feed.num_vertices(),
-            targets,
-            f1_slots: std::mem::take(&mut arena.scratch_edge),
+    /// Split a batch into per-shard sub-batches (vertex/edge-keyed kinds)
+    /// and the driver-kept global slot lists (`EdgeCount`, `RandomEdge`).
+    /// Routing goes through the feed's [`sgs_stream::sharded::ShardMap`]
+    /// — the same placement (uniform hash plus any load-balancing
+    /// overrides) the delivery buffers were built with, which is exactly
+    /// why placement never changes answers.
+    ///
+    /// With one shard the batch moves whole into slot 0 with an identity
+    /// slot map: no copy, and slot 0's router sees every query, exactly
+    /// as a single-stream pass would.
+    pub(crate) fn split(
+        model: Model,
+        batch: Vec<Query>,
+        feed: &ShardedFeed,
+        arena: &mut RouterArena,
+    ) -> Self {
+        let map = feed.shard_map();
+        let shards = map.num_shards();
+        arena.ensure_shards(shards);
+        for slot in &mut arena.slots[..shards] {
+            slot.sub_batch.clear();
+            slot.slot_map.clear();
         }
+        let mut ctx = PassCtx {
+            num_vertices: feed.num_vertices(),
+            batch_len: batch.len(),
+            count_slots: Vec::new(),
+            f1_slots: Vec::new(),
+            targets: Vec::new(),
+        };
+        for (i, q) in batch.iter().enumerate() {
+            let key = match *q {
+                Query::EdgeCount => {
+                    ctx.count_slots.push(i as u32);
+                    continue;
+                }
+                Query::RandomEdge => {
+                    ctx.f1_slots.push(i as u32);
+                    continue;
+                }
+                Query::Degree(v) | Query::RandomNeighbor(v) => v.0,
+                Query::IthNeighbor(v, _) => {
+                    if model == Model::Turnstile {
+                        panic!(
+                            "IthNeighbor is not available in the turnstile model \
+                             (Definition 10 replaces it with RandomNeighbor)"
+                        );
+                    }
+                    v.0
+                }
+                // The canonical endpoint's shard sees every update of this
+                // edge (it is an endpoint), so it can answer `f4` alone.
+                Query::Adjacent(u, v) => Edge::new(u, v).u().0,
+            };
+            if shards != 1 {
+                let slot = &mut arena.slots[map.shard_of(key)];
+                slot.sub_batch.push(*q);
+                slot.slot_map.push(i as u32);
+            }
+        }
+        if shards == 1 {
+            arena.slots[0].sub_batch = batch;
+        }
+        ctx
     }
 
-    /// The pass prologue: split the batch over the feed's shards, then
-    /// draw the `f1` position targets (insertion) or keep the `f1` slots
-    /// for the ℓ₀-banks (turnstile).
+    /// The solo pass prologue: [`PassCtx::split`], then draw the `f1`
+    /// position targets (insertion) or keep the `f1` slots for the
+    /// ℓ₀-banks (turnstile).
     ///
     /// Targets are drawn centrally from the pass rng in batch order —
-    /// the exact coin sequence a single-stream pass consumes — then
+    /// the exact coin sequence of the frozen reference executors — then
     /// sorted by position for cursor matching.
     pub(crate) fn begin(
         model: Model,
-        batch: &[Query],
+        batch: Vec<Query>,
         feed: &ShardedFeed,
         pass_seed: u64,
         arena: &mut RouterArena,
     ) -> Self {
-        split_batch(batch, model, feed.shard_map(), arena);
-        let mut ctx = PassCtx::take(arena, feed);
+        let mut ctx = PassCtx::split(model, batch, feed, arena);
         let stream_len = feed.stream_len() as u64;
         if model == Model::Insertion && stream_len > 0 {
             let mut rng = FastRng::seed_from_u64(pass_seed);
+            ctx.targets.reserve_exact(ctx.f1_slots.len());
             for &slot in &ctx.f1_slots {
                 ctx.targets.push((rng.gen_range(0..stream_len), slot));
             }
@@ -170,20 +217,44 @@ impl PassCtx {
     }
 
     /// The pass epilogue: merge shard-local answers and driver-kept
-    /// state into the batch-wide answer vector, merge the per-shard
+    /// state into the batch-wide answer vector, and merge the per-shard
     /// turnstile `f1` banks (linear sketches: the result is the exact
-    /// single-stream sketch state), and return the pooled buffers to the
-    /// arena. Returns the answers and the measured pass footprint.
+    /// single-stream sketch state). With one shard, slot 0's answer
+    /// vector already is the batch-wide one and is handed out as is.
+    /// Returns the answers and the measured pass footprint.
     pub(crate) fn finish(
         self,
         model: Model,
-        batch_len: usize,
         feed: &ShardedFeed,
         arena: &mut RouterArena,
         mut outcomes: Vec<ShardOutcome>,
     ) -> (Vec<Answer>, usize) {
         let mut space = outcomes.iter().map(|o| o.space_bytes).sum::<usize>();
-        let mut answers = merge_answers(batch_len, feed, arena, outcomes.len(), &outcomes);
+        let mut answers = match &mut arena.slots[..outcomes.len()] {
+            [only] => {
+                let answers = std::mem::take(&mut only.answers);
+                only.release();
+                answers
+            }
+            slots => {
+                let mut answers = vec![Answer::Edge(None); self.batch_len];
+                for slot in slots.iter() {
+                    for (local, &global) in slot.slot_map.iter().enumerate() {
+                        answers[global as usize] = slot.answers[local];
+                    }
+                }
+                answers
+            }
+        };
+        let m = feed.final_edge_count().max(0) as usize;
+        for &s in &self.count_slots {
+            answers[s as usize] = Answer::EdgeCount(m);
+        }
+        for o in &outcomes {
+            for &(slot, e) in &o.edge_hits {
+                answers[slot as usize] = Answer::Edge(Some(e));
+            }
+        }
         match model {
             Model::Insertion => space += self.targets.len() * 16,
             Model::Turnstile => {
@@ -198,9 +269,29 @@ impl PassCtx {
                 }
             }
         }
-        arena.scratch_targets = self.targets;
-        arena.scratch_edge = self.f1_slots;
         (answers, space)
+    }
+}
+
+/// Insertion `f1`: record the hits at delivery `su`'s global position,
+/// first skipping targets whose position lives in another shard's
+/// buffer. `targets` is sorted by position and deliveries arrive in
+/// stream order, so `cursor` only moves forward.
+#[inline]
+pub(crate) fn match_targets(
+    targets: &[(u64, u32)],
+    cursor: &mut usize,
+    hits: &mut Vec<(u32, Edge)>,
+    su: &ShardUpdate,
+) {
+    debug_assert!(su.update.is_insert(), "insertion executor fed a deletion");
+    let pos = su.position as u64;
+    while *cursor < targets.len() && targets[*cursor].0 < pos {
+        *cursor += 1;
+    }
+    while *cursor < targets.len() && targets[*cursor].0 == pos {
+        hits.push((targets[*cursor].1, su.update.edge));
+        *cursor += 1;
     }
 }
 
@@ -211,7 +302,7 @@ impl PassCtx {
 /// deliveries as they arrive at the cursor. Delivery *chunking* differs
 /// between the two, but chunk boundaries never change an answer (the
 /// block-equivalence property), so both paths stay byte-identical to
-/// the single-stream executor.
+/// the reference executors.
 pub(crate) struct InsertionShardPass<'a> {
     slot: &'a mut ShardSlot,
     targets: &'a [(u64, u32)],
@@ -240,7 +331,7 @@ impl<'a> InsertionShardPass<'a> {
             slot.router
                 .neighbor_slots()
                 .iter()
-                .map(|&ls| split_seed(pass_seed, slot.slot_map[ls as usize] as u64)),
+                .map(|&ls| split_seed(pass_seed, slot.global_slot(ls) as u64)),
             opts.reservoir,
         );
         reservoirs.bind_cohorts(slot.router.neighbor_group_ranges());
@@ -261,18 +352,7 @@ impl<'a> InsertionShardPass<'a> {
         let block = self.opts.block;
         if block <= 1 {
             for su in deliveries {
-                debug_assert!(su.update.is_insert(), "insertion executor fed a deletion");
-                let pos = su.position as u64;
-                // Skip targets whose position lives in another shard's
-                // buffer, then record hits at this global position.
-                while self.cursor < self.targets.len() && self.targets[self.cursor].0 < pos {
-                    self.cursor += 1;
-                }
-                while self.cursor < self.targets.len() && self.targets[self.cursor].0 == pos {
-                    self.edge_hits
-                        .push((self.targets[self.cursor].1, su.update.edge));
-                    self.cursor += 1;
-                }
+                match_targets(self.targets, &mut self.cursor, &mut self.edge_hits, su);
                 let edge = su.update.edge;
                 let res = &mut self.reservoirs;
                 self.slot.router.feed(su.update, |s, e| {
@@ -287,16 +367,7 @@ impl<'a> InsertionShardPass<'a> {
             for chunk in deliveries.chunks(block) {
                 buf.clear();
                 for su in chunk {
-                    debug_assert!(su.update.is_insert(), "insertion executor fed a deletion");
-                    let pos = su.position as u64;
-                    while self.cursor < self.targets.len() && self.targets[self.cursor].0 < pos {
-                        self.cursor += 1;
-                    }
-                    while self.cursor < self.targets.len() && self.targets[self.cursor].0 == pos {
-                        self.edge_hits
-                            .push((self.targets[self.cursor].1, su.update.edge));
-                        self.cursor += 1;
-                    }
+                    match_targets(self.targets, &mut self.cursor, &mut self.edge_hits, su);
                     buf.push(su.update);
                 }
                 let res = &mut self.reservoirs;
@@ -306,6 +377,11 @@ impl<'a> InsertionShardPass<'a> {
             }
             self.buf = buf;
         }
+    }
+
+    /// RNG draws the relaxed-`f3` reservoir bank has consumed so far.
+    pub(crate) fn reservoir_draws(&self) -> u64 {
+        self.reservoirs.rng_draws()
     }
 
     /// Serialize the mutable mid-pass state: the reservoir bank (RNG
@@ -427,9 +503,7 @@ impl<'a> TurnstileShardPass<'a> {
             .router
             .neighbor_slots()
             .iter()
-            .map(|&ls| {
-                L0Sampler::for_edge_domain(num_vertices, lane_seed(slot.slot_map[ls as usize]))
-            })
+            .map(|&ls| L0Sampler::for_edge_domain(num_vertices, lane_seed(slot.global_slot(ls))))
             .collect();
         let nbr_verts: Vec<VertexId> = slot.router.neighbor_vertices().collect();
         TurnstileShardPass {
@@ -621,7 +695,7 @@ pub(crate) enum ShardPass<'a> {
 
 impl<'a> ShardPass<'a> {
     /// Build `model`'s pass over `slot` for a solo round: every sampler is
-    /// seeded by `split_seed(pass_seed, global slot)`, the single-stream
+    /// seeded by `split_seed(pass_seed, global slot)`, the reference
     /// executors' coins.
     pub(crate) fn new(
         model: Model,
@@ -724,43 +798,16 @@ pub(crate) fn run_shards<'a, P: FeedPass>(
     }
 }
 
-/// Merge shard-local answers and driver-kept state into the batch-wide
-/// answer vector.
-fn merge_answers(
-    batch_len: usize,
-    feed: &ShardedFeed,
-    arena: &RouterArena,
-    shards: usize,
-    outcomes: &[ShardOutcome],
-) -> Vec<Answer> {
-    let mut answers = vec![Answer::Edge(None); batch_len];
-    let m = feed.final_edge_count().max(0) as usize;
-    for &s in &arena.scratch_count {
-        answers[s as usize] = Answer::EdgeCount(m);
-    }
-    for slot in &arena.slots[..shards] {
-        for (local, &global) in slot.slot_map.iter().enumerate() {
-            answers[global as usize] = slot.answers[local];
-        }
-    }
-    for o in outcomes {
-        for &(slot, e) in &o.edge_hits {
-            answers[slot as usize] = Answer::Edge(Some(e));
-        }
-    }
-    answers
-}
-
 /// The round loop every non-checkpointed engine runs: ask the algorithm
 /// for its next batch, answer it with one logical pass, account the pass
 /// in the [`ExecReport`], and sample the arena's heap footprint. `pass`
-/// receives the batch, the round's pass seed (`split_seed(seed, pass)`),
-/// and the 1-based pass number.
+/// receives the batch by value, the round's pass seed
+/// (`split_seed(seed, pass)`), and the 1-based pass number.
 pub(crate) fn drive_rounds<A: RoundAdaptive>(
     mut alg: A,
     seed: u64,
     arena: &mut RouterArena,
-    mut pass: impl FnMut(&[Query], u64, usize, &mut RouterArena) -> (Vec<Answer>, usize),
+    mut pass: impl FnMut(Vec<Query>, u64, usize, &mut RouterArena) -> (Vec<Answer>, usize),
 ) -> (A::Output, ExecReport) {
     let mut report = ExecReport::default();
     arena.begin_run();
@@ -775,7 +822,7 @@ pub(crate) fn drive_rounds<A: RoundAdaptive>(
         report.queries += batch.len();
         report.answer_bytes += batch.len() * ANSWER_BYTES;
         let pass_seed = split_seed(seed, report.passes as u64);
-        let (a, space) = pass(&batch, pass_seed, report.passes, arena);
+        let (a, space) = pass(batch, pass_seed, report.passes, arena);
         report.max_pass_space_bytes = report.max_pass_space_bytes.max(space);
         answers = a;
         arena.note_round();
@@ -784,47 +831,36 @@ pub(crate) fn drive_rounds<A: RoundAdaptive>(
     (alg.output(), report)
 }
 
-/// Answer one round's batch with one **sharded** pass in `model`: the
-/// N-shard generalization of [`crate::exec::answer_batch`], byte-identical
-/// to it (and to the reference executors) for every shard count, feed
-/// option, and [`ExecPolicy`]. For a fixed reservoir mode a neighbor
-/// sampler's vertex lives entirely in one shard, so its offer/draw
-/// sequence is unchanged whichever acceptance scheme runs it. Returns the
-/// merged answers and the measured pass footprint.
+/// Answer one round's batch with one **sharded** pass in `model`,
+/// byte-identical to the frozen reference executors for every shard
+/// count (one included), feed option, and [`ExecPolicy`]. For a fixed
+/// reservoir mode a neighbor sampler's vertex lives entirely in one
+/// shard, so its offer/draw sequence is unchanged whichever acceptance
+/// scheme runs it. The batch is taken by value: with one shard it
+/// becomes slot 0's sub-batch without a copy. Returns the merged answers
+/// and the measured pass footprint.
 pub fn answer_batch_sharded(
     model: Model,
-    batch: &[Query],
+    batch: Vec<Query>,
     feed: &ShardedFeed,
     pass_seed: u64,
     arena: &mut RouterArena,
     opts: PassOpts,
     policy: ExecPolicy,
 ) -> (Vec<Answer>, usize) {
-    if feed.num_shards() == 1 {
-        // Single shard: skip the split/scatter machinery and run the
-        // direct pass emulation over the feed (its `EdgeStream` replay
-        // reconstructs the source order and counts the logical pass) —
-        // single-stream callers keep the direct per-pass cost.
-        arena.ensure_shards(1);
-        let t0 = Instant::now();
-        let out = crate::exec::answer_batch(model, batch, feed, pass_seed, opts);
-        arena.slots[0]
-            .pass_nanos
-            .push(t0.elapsed().as_nanos() as u64);
-        return out;
-    }
     let ctx = PassCtx::begin(model, batch, feed, pass_seed, arena);
     let shards = feed.num_shards();
     let outcomes = run_shards(feed, &mut arena.slots[..shards], policy, |slot| {
         ShardPass::new(model, slot, &ctx, pass_seed, opts)
     });
-    ctx.finish(model, batch.len(), feed, arena, outcomes)
+    ctx.finish(model, feed, arena, outcomes)
 }
 
 /// Execute a round-adaptive algorithm as a sharded streaming algorithm in
 /// `model`: one *logical* pass per round, fanned out over the feed's
-/// shards. With one shard this **is** the single-stream executor
-/// ([`crate::exec::run_insertion`] / [`crate::exec::run_turnstile`]).
+/// shards. A single stream is the one-shard feed
+/// ([`crate::exec::run_insertion`] / [`crate::exec::run_turnstile`]), so
+/// this shard pass is the only code that answers a streaming round.
 pub fn run_sharded<A: RoundAdaptive>(
     model: Model,
     alg: A,
@@ -901,7 +937,7 @@ mod tests {
                     let (a, _) = answer_batch(Model::Insertion, &batch, &ins, pass_seed, opts);
                     let (b, _) = answer_batch_sharded(
                         Model::Insertion,
-                        &batch,
+                        batch.clone(),
                         &feed,
                         pass_seed,
                         &mut arena,
@@ -933,7 +969,7 @@ mod tests {
                 );
                 let (b, _) = answer_batch_sharded(
                     Model::Turnstile,
-                    &batch,
+                    batch.clone(),
                     &feed,
                     pass_seed,
                     &mut arena,
@@ -959,7 +995,7 @@ mod tests {
         for policy in [ExecPolicy::threaded(), ExecPolicy::serial()] {
             let (got, _) = answer_batch_sharded(
                 Model::Insertion,
-                &batch,
+                batch.clone(),
                 &feed,
                 5,
                 &mut arena,
@@ -982,7 +1018,7 @@ mod tests {
         for policy in [ExecPolicy::threaded(), ExecPolicy::serial()] {
             let (got, _) = answer_batch_sharded(
                 Model::Turnstile,
-                &batch,
+                batch.clone(),
                 &feed,
                 5,
                 &mut arena,
@@ -1003,7 +1039,7 @@ mod tests {
         for pass_seed in 0..3u64 {
             let _ = answer_batch_sharded(
                 Model::Insertion,
-                &batch,
+                batch.clone(),
                 &feed,
                 pass_seed,
                 &mut arena,
@@ -1023,7 +1059,7 @@ mod tests {
         let mut arena = RouterArena::new();
         let _ = answer_batch_sharded(
             Model::Turnstile,
-            &[Query::IthNeighbor(VertexId(0), 1)],
+            vec![Query::IthNeighbor(VertexId(0), 1)],
             &feed,
             3,
             &mut arena,
@@ -1046,7 +1082,7 @@ mod tests {
         let opts = PassOpts::default();
         let (a, _) = answer_batch_sharded(
             Model::Insertion,
-            &batch,
+            batch.clone(),
             &feed,
             7,
             &mut arena,

@@ -49,6 +49,9 @@ pub fn shard_of_vertex(v: u32, num_shards: usize) -> usize {
     (splitmix64(v as u64 ^ SHARD_SALT) % num_shards as u64) as usize
 }
 
+/// The most shards a feed can have: shard ids are cached as `u16`.
+pub const MAX_SHARDS: usize = u16::MAX as usize;
+
 /// A vertex → shard placement: the uniform stable hash
 /// ([`shard_of_vertex`]) plus a sparse, sorted list of per-vertex
 /// overrides. The overrides are the load-balancing lever: placement
@@ -68,7 +71,7 @@ impl ShardMap {
     /// uses, and the only placement checkpoint recovery accepts.
     pub fn uniform(shards: usize) -> Self {
         assert!(shards >= 1, "need at least one shard");
-        assert!(shards <= u16::MAX as usize, "shard ids are cached as u16");
+        assert!(shards <= MAX_SHARDS, "shard ids are cached as u16");
         ShardMap {
             shards,
             overrides: Vec::new(),
@@ -322,7 +325,7 @@ impl ShardedFeed {
         routed: Vec<RoutedUpdate>,
     ) -> Result<Self, crate::persist::PersistError> {
         use crate::persist::PersistError;
-        if num_shards < 1 || num_shards > u16::MAX as usize {
+        if !(1..=MAX_SHARDS).contains(&num_shards) {
             return Err(PersistError::corrupt(
                 0,
                 format!("implausible shard count {num_shards}"),
@@ -346,7 +349,7 @@ impl ShardedFeed {
     ) -> Result<Self, crate::persist::PersistError> {
         use crate::persist::PersistError;
         let num_shards = map.num_shards();
-        if num_shards < 1 || num_shards > u16::MAX as usize {
+        if !(1..=MAX_SHARDS).contains(&num_shards) {
             return Err(PersistError::corrupt(
                 0,
                 format!("implausible shard count {num_shards}"),

@@ -18,6 +18,7 @@
 use sgs_graph::zoo::parse_pattern;
 use sgs_query::{BroadcastOpts, ExecPolicy, Model, PassOpts, ReservoirMode, RouterArena};
 use sgs_stream::persist::{read_config, read_wal, write_config, Decoder, Encoder, PersistError};
+use sgs_stream::sharded::MAX_SHARDS;
 use sgs_stream::{EdgeUpdate, ShardedFeed};
 use std::path::{Path, PathBuf};
 use std::process::exit;
@@ -47,6 +48,17 @@ impl Args {
             eprintln!("error: {} needs a number, got '{v}'", flag_name(name));
             exit(2);
         })
+    }
+
+    /// `--shards N` (default 1), checked against `1..=MAX_SHARDS` before
+    /// anything touches the disk: out of range exits 2 naming the flag.
+    fn shards(&self) -> usize {
+        let n: usize = self.num("shards", 1);
+        if !(1..=MAX_SHARDS).contains(&n) {
+            eprintln!("error: --shards must be in 1..={MAX_SHARDS}, got {n}");
+            exit(2);
+        }
+        n
     }
 
     fn has(&self, name: &str) -> bool {
@@ -506,7 +518,7 @@ fn run_multi_count(args: &Args, queries_path: &str, seed: u64) {
     let src = load_source(args);
     let m = src.live_edges();
     let eps: f64 = args.num("eps", 0.2);
-    let shards: usize = args.num("shards", 1).max(1);
+    let shards: usize = args.shards();
     let block: usize = args.num("block", sgs_query::exec::DEFAULT_BLOCK);
     let opts = PassOpts::with_block(block).l0(parse_l0(args));
     let model = model_of(args);
@@ -635,7 +647,7 @@ fn run_count(args: &Args, seed: u64) {
     // (one router + worker per shard); answers are merged exactly, so the
     // estimate is bit-identical to the single-stream run with the same
     // seed.
-    let shards: usize = args.num("shards", 1).max(1);
+    let shards: usize = args.shards();
     // --block B feeds each pass in blocks of B updates (batched index
     // probes, ℓ₀ lane loops); 0 forces the scalar per-update path.
     // Bit-identical either way — the knob only changes throughput.
@@ -876,7 +888,7 @@ fn main() {
             let dir = PathBuf::from(&dirs);
             let defaults = sgs_query::ServeConfig::default();
             let flag_cfg = sgs_query::ServeConfig {
-                shards: args.num("shards", 1).max(1),
+                shards: args.shards(),
                 wal_block: args.num("wal-block", sgs_query::DEFAULT_SERVE_BLOCK).max(1),
                 snapshot_every: args.num("snapshot-every", defaults.snapshot_every),
                 ring_capacity: args.num("ring-capacity", defaults.ring_capacity).max(1),

@@ -112,7 +112,7 @@ fn sharded_blocked_matches_scalar_across_shards_and_blocks() {
         for pass_seed in 0..3u64 {
             let (ins_scalar, _) = answer_batch_sharded(
                 Model::Insertion,
-                &ins_batch,
+                ins_batch.clone(),
                 &ins_feed,
                 pass_seed,
                 &mut arena,
@@ -121,7 +121,7 @@ fn sharded_blocked_matches_scalar_across_shards_and_blocks() {
             );
             let (tst_scalar, _) = answer_batch_sharded(
                 Model::Turnstile,
-                &tst_batch,
+                tst_batch.clone(),
                 &tst_feed,
                 pass_seed,
                 &mut arena,
@@ -131,7 +131,7 @@ fn sharded_blocked_matches_scalar_across_shards_and_blocks() {
             for block in [3usize, 16, 64, 512] {
                 let (a, _) = answer_batch_sharded(
                     Model::Insertion,
-                    &ins_batch,
+                    ins_batch.clone(),
                     &ins_feed,
                     pass_seed,
                     &mut arena,
@@ -141,7 +141,7 @@ fn sharded_blocked_matches_scalar_across_shards_and_blocks() {
                 assert_eq!(a, ins_scalar, "insertion {shards} shards block {block}");
                 let (b, _) = answer_batch_sharded(
                     Model::Turnstile,
-                    &tst_batch,
+                    tst_batch.clone(),
                     &tst_feed,
                     pass_seed,
                     &mut arena,
@@ -185,7 +185,7 @@ fn single_update_streams_answer_identically() {
         let mut arena = RouterArena::new();
         let (scalar, _) = answer_batch_sharded(
             Model::Insertion,
-            &batch,
+            batch.clone(),
             &feed,
             7,
             &mut arena,
@@ -194,7 +194,7 @@ fn single_update_streams_answer_identically() {
         );
         let (blocked, _) = answer_batch_sharded(
             Model::Insertion,
-            &batch,
+            batch.clone(),
             &feed,
             7,
             &mut arena,

@@ -120,3 +120,125 @@ fn known_flags_still_run() {
     assert!(out.status.success());
     std::fs::remove_file(&edges).unwrap();
 }
+
+/// A seeded edge file on `n` vertices with about `m` distinct edges.
+fn random_edges_file(tag: &str, n: u64, m: usize) -> PathBuf {
+    let path = std::env::temp_dir().join(format!("sgs-cli-{tag}-{}.txt", std::process::id()));
+    let mut x = 0x9e37_79b9_7f4a_7c15u64;
+    let mut seen = std::collections::HashSet::new();
+    while seen.len() < m {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let (u, v) = ((x >> 33) % n, (x >> 13) % n);
+        if u != v {
+            seen.insert((u.min(v), u.max(v)));
+        }
+    }
+    let text: String = seen.iter().map(|(u, v)| format!("{u} {v}\n")).collect();
+    std::fs::write(&path, text).unwrap();
+    path
+}
+
+#[test]
+fn shards_out_of_range_exit_2_naming_the_flag() {
+    let edges = edges_file("shards");
+    let e = edges.to_str().unwrap();
+    for bad in ["0", "65536", "70000"] {
+        let out = sgs(&[
+            "count",
+            "--edges",
+            e,
+            "--pattern",
+            "triangle",
+            "--shards",
+            bad,
+        ]);
+        assert_usage_error(&out, &["--shards", bad]);
+    }
+    std::fs::remove_file(&edges).unwrap();
+
+    // `sgs serve` must refuse before it writes anything: a CONFIG left
+    // behind would make every later restart of the directory fail.
+    let dir = std::env::temp_dir().join(format!("sgs-cli-serve-shards-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut child = Command::new(BIN)
+        .args(["serve", dir.to_str().unwrap(), "--shards", "70000"])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("run sgs serve");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+    while child.try_wait().unwrap().is_none() {
+        if std::time::Instant::now() > deadline {
+            let _ = child.kill();
+            panic!("sgs serve --shards 70000 did not exit");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    let out = child.wait_with_output().unwrap();
+    assert_usage_error(&out, &["--shards", "70000"]);
+    assert!(!dir.join("CONFIG").exists(), "serve wrote CONFIG");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn huge_vertex_id_is_a_line_error_not_an_abort() {
+    let path = std::env::temp_dir().join(format!("sgs-cli-hugeid-{}.txt", std::process::id()));
+    std::fs::write(&path, "0 1\n0 4000000000\n").unwrap();
+    let out = sgs(&[
+        "count",
+        "--edges",
+        path.to_str().unwrap(),
+        "--pattern",
+        "triangle",
+    ]);
+    assert_usage_error(&out, &["line 2", "4000000000"]);
+    std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
+fn shard_count_never_changes_the_bits() {
+    let edges = random_edges_file("bits", 60, 400);
+    let e = edges.to_str().unwrap();
+    let bits = |shards: &str, turnstile: bool| {
+        let mut args = vec![
+            "count",
+            "--edges",
+            e,
+            "--pattern",
+            "triangle",
+            "--trials",
+            "2000",
+            "--seed",
+            "5",
+            "--bits",
+            "--shards",
+            shards,
+        ];
+        if turnstile {
+            args.push("--turnstile");
+        }
+        let out = sgs(&args);
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        let word = stdout
+            .split_whitespace()
+            .find(|w| w.starts_with("bits="))
+            .unwrap_or_else(|| panic!("no bits= in {stdout}"))
+            .to_string();
+        word
+    };
+    for turnstile in [false, true] {
+        assert_eq!(
+            bits("1", turnstile),
+            bits("3", turnstile),
+            "turnstile={turnstile}"
+        );
+    }
+    std::fs::remove_file(&edges).unwrap();
+}

@@ -190,7 +190,7 @@ fn router_fed_skip_winners_uniform_at_shards_1_2_4() {
         for pass_seed in 0..trials {
             let (a, _) = answer_batch_sharded(
                 Model::Insertion,
-                &batch,
+                batch.clone(),
                 &feed,
                 pass_seed,
                 &mut arena,
