@@ -9,10 +9,10 @@
 //!   position sampling for `f1` (distributionally identical to a size-1
 //!   reservoir over a fixed-length pass, but O(1) per update), per-vertex
 //!   incident-edge reservoirs for relaxed `f3` (exactly uniform in a
-//!   simple graph; an SoA [`sgs_stream::reservoir::ReservoirBank`] whose
-//!   acceptance scheme —
-//!   skip-ahead default vs the per-offer oracle — is picked by
-//!   [`PassOpts::reservoir`]), arrival-order watchers for indexed `f3`,
+//!   simple graph; an SoA [`sgs_stream::reservoir::ReservoirBank`]
+//!   whose acceptance scheme — skip-ahead default vs the per-offer
+//!   oracle — is picked by [`PassOpts::reservoir`]), arrival-order
+//!   watchers for indexed `f3`,
 //!   and counters/flags for `f2`/`f4` — the proof of Theorem 9;
 //! * [`run_turnstile`] answers each batch with **one pass** using
 //!   ℓ₀-samplers for `f1` and relaxed `f3`, and deletion-aware counters
@@ -21,8 +21,8 @@
 //!   deliberately drops them) and panic.
 //!
 //! Both streaming executors dispatch each update through one shared
-//! [`crate::router::QueryRouter`]: the whole merged batch of a [`crate::Parallel`]
-//! sampler bank is bucketed into per-vertex and per-edge flat indexes at
+//! [`crate::router::QueryRouter`]: the whole merged batch of a
+//! [`crate::Parallel`] sampler bank is bucketed into per-vertex and per-edge flat indexes at
 //! round start, so per-update work is O(1 + hits) regardless of how many
 //! trials are pending. The pre-refactor executors survive verbatim in
 //! [`crate::reference`]; seeded equivalence tests pin the two
