@@ -221,6 +221,11 @@ pub fn practical_trials(m: usize, rho: Rho, epsilon: f64, lower_bound: f64) -> u
     (k.ceil() as usize).max(1)
 }
 
+/// The most trials one estimate runs: the cap on a derived trial count,
+/// and the most a remote `COUNT trials=N` may ask for (each trial holds
+/// its samplers in memory for the whole pass).
+pub const MAX_TRIALS: usize = 2_000_000;
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -28,7 +28,7 @@ pub use broadcast_exec::{estimate_broadcast, triest_seed, BroadcastEstimate, Con
 pub use checkpoint_exec::estimate_checkpointed;
 pub use counter::{
     estimate_insertion, estimate_oracle, estimate_turnstile, practical_trials, theory_trials,
-    CountEstimate, QuerySpec,
+    CountEstimate, QuerySpec, MAX_TRIALS,
 };
 pub use multi_exec::{estimate_multi, estimate_multi_broadcast};
 pub use parallel_exec::estimate_on_feed;

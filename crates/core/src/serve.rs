@@ -32,6 +32,7 @@
 
 use crate::fgp::{
     estimate_multi, estimate_on_runtime, practical_trials, CountEstimate, QuerySpec, SamplerPlan,
+    MAX_TRIALS,
 };
 use crate::SamplerMode;
 use sgs_graph::zoo::parse_pattern;
@@ -133,6 +134,9 @@ fn parse_count(mut toks: std::str::SplitWhitespace<'_>) -> Result<Request, Strin
             spec.model = Model::Turnstile;
         } else if let Some(v) = tok.strip_prefix("trials=") {
             spec.trials = v.parse().map_err(|_| format!("bad trials '{v}'"))?;
+            if spec.trials > MAX_TRIALS {
+                return Err(format!("trials={v} exceeds the limit of {MAX_TRIALS}"));
+            }
         } else if let Some(v) = tok.strip_prefix("seed=") {
             spec.seed = Some(v.parse().map_err(|_| format!("bad seed '{v}'"))?);
         } else if let Some(v) = tok.strip_prefix("reservoir=") {
@@ -295,7 +299,7 @@ fn answer_group(
             continue;
         };
         let trials = if spec.trials == 0 {
-            practical_trials(m, plan.rho(), opts.eps, 1.0).clamp(1, 2_000_000)
+            practical_trials(m, plan.rho(), opts.eps, 1.0).clamp(1, MAX_TRIALS)
         } else {
             spec.trials
         };
@@ -589,6 +593,12 @@ mod tests {
         assert!(parse_request("COUNT").is_err());
         assert!(parse_request("COUNT nosuch").is_err());
         assert!(parse_request("COUNT triangle trials=x").is_err());
+        // A client cannot make the node allocate past the trial cap.
+        let at_cap = format!("COUNT triangle trials={MAX_TRIALS}");
+        assert!(parse_request(&at_cap).is_ok());
+        let over = format!("COUNT triangle trials={}", MAX_TRIALS + 1);
+        assert!(parse_request(&over).unwrap_err().contains("exceeds"));
+        assert!(parse_request(&format!("COUNT triangle trials={}", usize::MAX)).is_err());
         // Reservoirs and relaxed make no sense under turnstile.
         assert!(parse_request("COUNT triangle turnstile relaxed").is_err());
         assert!(parse_request("COUNT triangle turnstile reservoir=skip").is_err());

@@ -44,7 +44,7 @@ use crate::query::{Answer, Query};
 use crate::round::RoundAdaptive;
 use crate::router::Model;
 use crate::runtime::ShardRuntime;
-use crate::sharded::{drive_rounds, FeedPass, PassCtx, ShardOutcome, ShardPass};
+use crate::sharded::{drive_rounds, PassCtx, SeedRun, ShardOutcome, ShardPass};
 use sgs_stream::broadcast::{Broadcast, BroadcastConsumer, RoutedProducer, TryNext};
 use sgs_stream::sharded::{RoutedUpdate, ShardUpdate, ShardedFeed};
 use std::time::Instant;
@@ -110,10 +110,10 @@ pub(crate) fn filter_block(block: &[RoutedUpdate], sid: usize, scratch: &mut Vec
 /// threaded schedule a shard's figure is its drain wall time (ring
 /// waits included), under the cooperative schedule only its own
 /// processing segments.
-pub(crate) fn drive_ring<P: FeedPass + Send>(
+pub(crate) fn drive_ring(
     feed: &ShardedFeed,
     ring: &Broadcast,
-    passes: Vec<P>,
+    passes: Vec<ShardPass<'_>>,
     bcast: BroadcastOpts,
     side: &mut [SideSink<'_>],
 ) -> Vec<ShardOutcome> {
@@ -164,7 +164,7 @@ pub(crate) fn drive_ring<P: FeedPass + Send>(
         })
     } else {
         let mut producer = producer;
-        let mut workers: Vec<(P, BroadcastConsumer, bool, u64)> = passes
+        let mut workers: Vec<(ShardPass<'_>, BroadcastConsumer, bool, u64)> = passes
             .into_iter()
             .zip(shard_consumers)
             .map(|(p, c)| (p, c, false, 0u64))
@@ -233,10 +233,10 @@ pub fn answer_batch_broadcast(
     side: &mut [SideSink<'_>],
 ) -> (Vec<Answer>, usize) {
     let shards = feed.num_shards();
-    let ctx = PassCtx::begin(model, batch, feed, pass_seed, arena);
+    let ctx = PassCtx::begin(model, batch, feed, SeedRun::solo(pass_seed, opts), arena);
     let passes: Vec<ShardPass<'_>> = arena.slots[..shards]
         .iter_mut()
-        .map(|slot| ShardPass::new(model, slot, &ctx, pass_seed, opts))
+        .map(|slot| ShardPass::new(model, slot, &ctx, opts))
         .collect();
     let ring = Broadcast::new(bcast.ring_capacity);
     let outcomes = drive_ring(feed, &ring, passes, bcast, side);

@@ -38,7 +38,7 @@ use crate::exec::{PassOpts, ANSWER_BYTES};
 use crate::query::Answer;
 use crate::round::RoundAdaptive;
 use crate::router::Model;
-use crate::sharded::{FeedPass, PassCtx, ShardPass};
+use crate::sharded::{PassCtx, SeedRun, ShardPass};
 use sgs_graph::VertexId;
 use sgs_stream::hash::split_seed;
 use sgs_stream::persist::{
@@ -568,10 +568,10 @@ pub fn run_checkpointed<A: RoundAdaptive>(
         }
         let pass_seed = split_seed(seed, report.passes as u64);
         feed.begin_pass();
-        let ctx = PassCtx::begin(model, batch, feed, pass_seed, arena);
+        let ctx = PassCtx::begin(model, batch, feed, SeedRun::solo(pass_seed, opts), arena);
         let mut passes: Vec<ShardPass<'_>> = arena.slots[..shards]
             .iter_mut()
-            .map(|slot| ShardPass::new(model, slot, &ctx, pass_seed, opts))
+            .map(|slot| ShardPass::new(model, slot, &ctx, opts))
             .collect();
         let mut start_block = 0usize;
         if resuming {

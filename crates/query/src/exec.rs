@@ -46,7 +46,7 @@ use crate::policy::ExecPolicy;
 use crate::query::{Answer, Query};
 use crate::round::RoundAdaptive;
 use crate::router::Model;
-use crate::sharded::{InsertionShardPass, PassCtx};
+use crate::sharded::{InsertionShardPass, PassCtx, SeedRun};
 use sgs_stream::l0::L0Mode;
 use sgs_stream::reservoir::ReservoirMode;
 use sgs_stream::{EdgeStream, ShardedFeed};
@@ -195,10 +195,10 @@ pub fn insertion_pass_reservoir_draws(
         Model::Insertion,
         batch.to_vec(),
         &feed,
-        pass_seed,
+        SeedRun::solo(pass_seed, opts),
         &mut arena,
     );
-    let mut pass = InsertionShardPass::new(&mut arena.slots[0], &ctx.targets, pass_seed, opts);
+    let mut pass = InsertionShardPass::new(&mut arena.slots[0], &ctx, opts);
     pass.feed(feed.shard(0));
     pass.reservoir_draws()
 }

@@ -14,8 +14,9 @@
 //! shared passes instead of `Σ_j rounds_j` private ones.
 //!
 //! **Per-job answers are byte-identical to solo runs** — at any shard
-//! count, block size, and schedule — because the multiplexer replays
-//! each job's private coin chain exactly:
+//! count, block size, and schedule — because the shared pass is the solo
+//! shard pass ([`crate::sharded::ShardPass`]) over one seed run per
+//! participant, which replays each job's private coin chain exactly:
 //!
 //! * a job's pass seed is `split_seed(job_seed, job_passes)` where
 //!   `job_passes` counts only the rounds *this job* participates in —
@@ -28,13 +29,13 @@
 //! * every sampler lane (reservoir or ℓ₀) is seeded by
 //!   `split_seed(job_pass_seed, job_slot)` with `job_slot` the query's
 //!   index in the **job's own** batch — solo seeding verbatim;
-//! * each job owns a private [`ReservoirBank`] in its own
-//!   [`ReservoirMode`]: per-lane reservoir state depends only on the
-//!   lane seed and the lane's offer sequence (never on bank-global lane
-//!   order — `reservoir.rs` pins this), and a job's lanes inside one
-//!   shared vertex group form a contiguous run (job batches are
-//!   contiguous in the merged batch), so one `offer_cohort` per
-//!   (vertex, job) segment reproduces the solo offer sequence exactly;
+//! * every reservoir lane runs its job's own [`ReservoirMode`] inside one
+//!   shared bank: per-lane reservoir state depends only on the lane
+//!   seed, the lane's mode and the lane's offer sequence (never on
+//!   bank-global lane order or on which lanes share a cohort —
+//!   `reservoir.rs` pins this), and every lane of a shared vertex group
+//!   is offered each delivery to that vertex, exactly as in its solo
+//!   pass;
 //! * turnstile ℓ₀-samplers are per-lane independent linear sketches, so
 //!   the shared pass keeps flat banks aligned with the merged slot lists
 //!   and merges across shards exactly like the solo sharded pass.
@@ -53,22 +54,18 @@
 //! was blocked on.
 
 use crate::accounting::ExecReport;
-use crate::arena::{RouterArena, ShardSlot};
+use crate::arena::RouterArena;
 use crate::broadcast::{drive_ring, BroadcastOpts};
 use crate::exec::{PassOpts, ANSWER_BYTES};
 use crate::policy::ExecPolicy;
 use crate::query::{Answer, Query};
 use crate::round::RoundAdaptive;
 use crate::router::Model;
-use crate::sharded::{
-    match_targets, run_shards, sort_targets, FeedPass, PassCtx, ShardOutcome, TurnstileShardPass,
-};
-use sgs_graph::{Edge, VertexId};
+use crate::sharded::{run_shards, PassCtx, SeedRun, ShardPass};
 use sgs_stream::broadcast::Broadcast;
-use sgs_stream::hash::{split_seed, FastRng};
-use sgs_stream::reservoir::{ReservoirBank, ReservoirMode};
-use sgs_stream::sharded::{ShardUpdate, ShardedFeed};
-use sgs_stream::EdgeUpdate;
+use sgs_stream::hash::split_seed;
+use sgs_stream::reservoir::ReservoirMode;
+use sgs_stream::sharded::ShardedFeed;
 use std::time::Duration;
 
 pub use sgs_stream::broadcast::StallEvent;
@@ -304,16 +301,14 @@ impl<A: RoundAdaptive> QuerySet<A> {
                 job.report.passes += 1;
                 job.report.queries += batch.len();
                 job.report.answer_bytes += batch.len() * ANSWER_BYTES;
-                let p = plan.participants.len();
-                let pass_seed = split_seed(job.seed, job.passes);
                 plan.participants.push(j as u32);
-                plan.pass_seeds.push(pass_seed);
-                plan.modes.push(job.reservoir);
-                plan.starts.push(plan.concat.len());
+                plan.runs.push(SeedRun {
+                    start: plan.concat.len() as u32,
+                    pass_seed: split_seed(job.seed, job.passes),
+                    reservoir: job.reservoir,
+                });
                 let js = &mut admission.jobs[j];
-                for (k, q) in batch.iter().enumerate() {
-                    plan.slot_seeds.push(split_seed(pass_seed, k as u64));
-                    plan.slot_part.push(p as u32);
+                for q in &batch {
                     match q {
                         Query::RandomEdge => js.f1_targets += 1,
                         Query::RandomNeighbor(_) => js.sampler_lanes += 1,
@@ -325,7 +320,6 @@ impl<A: RoundAdaptive> QuerySet<A> {
             if plan.concat.is_empty() {
                 break;
             }
-            plan.starts.push(plan.concat.len());
             round_no += 1;
             let batch_len = plan.concat.len();
             let (answers, space) = mux_pass(
@@ -344,7 +338,8 @@ impl<A: RoundAdaptive> QuerySet<A> {
                 .max()
                 .unwrap_or(0);
             for (p, &j) in plan.participants.iter().enumerate() {
-                let (a, b) = (plan.starts[p], plan.starts[p + 1]);
+                let a = plan.runs[p].start as usize;
+                let b = plan.runs.get(p + 1).map_or(batch_len, |r| r.start as usize);
                 let job = &mut self.jobs[j as usize];
                 job.answers.clear();
                 job.answers.extend_from_slice(&answers[a..b]);
@@ -382,318 +377,25 @@ pub enum Engine {
     Ring(BroadcastOpts),
 }
 
-/// One shared round, planned: the merged batch plus everything needed to
-/// replay each participant's private coins.
+/// One shared round, planned: the merged batch plus each participant's
+/// seed run, which replays its private coins.
 #[derive(Default)]
 struct RoundPlan {
     /// The concatenation of every participant's batch, in job order.
     concat: Vec<Query>,
     /// Participant index → job id.
     participants: Vec<u32>,
-    /// Participant index → start offset in `concat`; one trailing entry
-    /// holds `concat.len()`, so participant `p` owns `starts[p]..starts[p+1]`.
-    starts: Vec<usize>,
-    /// Participant index → the job's private pass seed for this round.
-    pass_seeds: Vec<u64>,
-    /// Participant index → the job's reservoir mode.
-    modes: Vec<ReservoirMode>,
-    /// Merged slot → `split_seed(owner's pass seed, job-local slot)` —
-    /// the exact lane seed the owner's solo pass would use.
-    slot_seeds: Vec<u64>,
-    /// Merged slot → owning participant index.
-    slot_part: Vec<u32>,
-}
-
-/// Draw every participant's `f1` targets from its own pass rng in its
-/// own batch order (the solo coin sequences), keyed by merged slot, then
-/// sort by position for cursor matching. `f1_slots` ascends and each
-/// participant's merged range is contiguous, so one rng per participant
-/// walks its slots in its solo order, and the push order (ascending
-/// merged slots) is what `sort_targets` expects from the solo draw.
-fn draw_mux_targets(
-    plan: &RoundPlan,
-    f1_slots: &[u32],
-    stream_len: u64,
-    targets: &mut Vec<(u64, u32)>,
-) {
-    if stream_len == 0 {
-        return;
-    }
-    targets.reserve_exact(f1_slots.len());
-    let mut owner = None;
-    let mut rng = FastRng::seed_from_u64(0);
-    for &gs in f1_slots {
-        let p = plan.slot_part[gs as usize];
-        if owner != Some(p) {
-            owner = Some(p);
-            rng = FastRng::seed_from_u64(plan.pass_seeds[p as usize]);
-        }
-        targets.push((rng.gen_range(0..stream_len), gs));
-    }
-    sort_targets(targets, stream_len);
-}
-
-/// One maximal run of same-job sampler lanes inside one shared vertex
-/// group: the fan-out unit. A delivery to the group offers `item` to
-/// bank lanes `bank_start..bank_end` of participant `part`'s private
-/// reservoir bank — one `offer_cohort` per segment, exactly the solo
-/// group offer the owner's own pass would make.
-#[derive(Clone, Copy)]
-struct MuxSegment {
-    part: u32,
-    bank_start: u32,
-    bank_end: u32,
-}
-
-/// One shard's shared insertion-model pass: the multiplexed counterpart
-/// of the solo insertion shard pass. One router over the merged
-/// sub-batch; per-participant reservoir banks (each in its job's own
-/// mode, lanes seeded with the job's solo coins) fed through the segment
-/// table.
-struct MuxInsertionShardPass<'a> {
-    slot: &'a mut ShardSlot,
-    targets: &'a [(u64, u32)],
-    block: usize,
-    /// One private bank per participant (possibly zero lanes).
-    banks: Vec<ReservoirBank<Edge>>,
-    /// Flat segment table, grouped by shared vertex group.
-    segments: Vec<MuxSegment>,
-    /// Shared group start lane → segment range in `segments`.
-    group_segs: Vec<(u32, u32)>,
-    /// Shared lane → (participant, lane in that participant's bank).
-    lane_owner: Vec<(u32, u32)>,
-    nbr_verts: Vec<VertexId>,
-    edge_hits: Vec<(u32, Edge)>,
-    cursor: usize,
-    buf: Vec<EdgeUpdate>,
-}
-
-/// Build the per-participant lane/segment structures over the shard's
-/// rebuilt router. Within one shared vertex group, lanes ascend by local
-/// slot, local slots ascend by merged slot, and each participant's
-/// merged range is contiguous — so each participant's lanes in a group
-/// form exactly one contiguous run, and its bank ranges come out
-/// ascending and disjoint (what `bind_cohorts` requires).
-#[allow(clippy::type_complexity)] // four parallel tables, consumed as locals right at the call site
-fn build_lane_tables(
-    slot: &ShardSlot,
-    plan: &RoundPlan,
-) -> (
-    Vec<Vec<u64>>,
-    Vec<(u32, u32)>,
-    Vec<MuxSegment>,
-    Vec<(u32, u32)>,
-) {
-    let nparts = plan.participants.len();
-    let nbr_slots = slot.router.neighbor_slots();
-    let mut lane_seeds: Vec<Vec<u64>> = vec![Vec::new(); nparts];
-    let mut lane_owner: Vec<(u32, u32)> = Vec::with_capacity(nbr_slots.len());
-    for &ls in nbr_slots {
-        let gs = slot.global_slot(ls) as usize;
-        let p = plan.slot_part[gs] as usize;
-        lane_owner.push((p as u32, lane_seeds[p].len() as u32));
-        lane_seeds[p].push(plan.slot_seeds[gs]);
-    }
-    let mut segments: Vec<MuxSegment> = Vec::new();
-    let mut group_segs: Vec<(u32, u32)> = vec![(0, 0); nbr_slots.len()];
-    for (s, e) in slot.router.neighbor_group_ranges() {
-        let beg = segments.len() as u32;
-        let mut li = s as usize;
-        while li < e as usize {
-            let (part, bank_start) = lane_owner[li];
-            let mut lj = li + 1;
-            while lj < e as usize && lane_owner[lj].0 == part {
-                lj += 1;
-            }
-            segments.push(MuxSegment {
-                part,
-                bank_start,
-                bank_end: bank_start + (lj - li) as u32,
-            });
-            li = lj;
-        }
-        group_segs[s as usize] = (beg, segments.len() as u32);
-    }
-    (lane_seeds, lane_owner, segments, group_segs)
-}
-
-impl<'a> MuxInsertionShardPass<'a> {
-    fn new(
-        slot: &'a mut ShardSlot,
-        targets: &'a [(u64, u32)],
-        plan: &RoundPlan,
-        opts: PassOpts,
-    ) -> Self {
-        slot.router.rebuild(&slot.sub_batch, Model::Insertion);
-        let (lane_seeds, lane_owner, segments, group_segs) = build_lane_tables(slot, plan);
-        let mut banks: Vec<ReservoirBank<Edge>> = lane_seeds
-            .into_iter()
-            .zip(&plan.modes)
-            .map(|(seeds, &mode)| ReservoirBank::from_seeds(seeds, mode))
-            .collect();
-        for (pi, bank) in banks.iter_mut().enumerate() {
-            bank.bind_cohorts(
-                segments
-                    .iter()
-                    .filter(|sg| sg.part as usize == pi)
-                    .map(|sg| (sg.bank_start, sg.bank_end)),
-            );
-        }
-        let nbr_verts: Vec<VertexId> = slot.router.neighbor_vertices().collect();
-        MuxInsertionShardPass {
-            slot,
-            targets,
-            block: opts.block,
-            banks,
-            segments,
-            group_segs,
-            lane_owner,
-            nbr_verts,
-            edge_hits: Vec::new(),
-            cursor: 0,
-            buf: Vec::new(),
-        }
-    }
-
-    /// Absorb the next run of deliveries (global stream order, possibly
-    /// a partial prefix — callable repeatedly).
-    fn feed(&mut self, deliveries: &[ShardUpdate]) {
-        if self.block <= 1 {
-            for su in deliveries {
-                match_targets(self.targets, &mut self.cursor, &mut self.edge_hits, su);
-                let edge = su.update.edge;
-                let banks = &mut self.banks;
-                let segments = &self.segments;
-                let group_segs = &self.group_segs;
-                self.slot.router.feed(su.update, |s, _e| {
-                    let (b0, b1) = group_segs[s as usize];
-                    for sg in &segments[b0 as usize..b1 as usize] {
-                        banks[sg.part as usize].offer_cohort(
-                            sg.bank_start as usize,
-                            sg.bank_end as usize,
-                            edge,
-                        );
-                    }
-                });
-            }
-        } else {
-            let mut buf = std::mem::take(&mut self.buf);
-            for chunk in deliveries.chunks(self.block) {
-                buf.clear();
-                for su in chunk {
-                    match_targets(self.targets, &mut self.cursor, &mut self.edge_hits, su);
-                    buf.push(su.update);
-                }
-                let banks = &mut self.banks;
-                let segments = &self.segments;
-                let group_segs = &self.group_segs;
-                self.slot.router.feed_block(&buf, |j, s, _e| {
-                    let (b0, b1) = group_segs[s as usize];
-                    for sg in &segments[b0 as usize..b1 as usize] {
-                        banks[sg.part as usize].offer_cohort(
-                            sg.bank_start as usize,
-                            sg.bank_end as usize,
-                            buf[j].edge,
-                        );
-                    }
-                });
-            }
-            self.buf = buf;
-        }
-    }
-
-    /// End of stream: fill shard-local answers and report the outcome.
-    fn finish(self) -> ShardOutcome {
-        let MuxInsertionShardPass {
-            slot,
-            banks,
-            lane_owner,
-            nbr_verts,
-            edge_hits,
-            ..
-        } = self;
-        let space_bytes =
-            slot.router.space_bytes() + banks.iter().map(ReservoirBank::space_bytes).sum::<usize>();
-        slot.answers.clear();
-        slot.answers
-            .resize(slot.sub_batch.len(), Answer::Edge(None));
-        for (li, &ls) in slot.router.neighbor_slots().iter().enumerate() {
-            let (p, lane) = lane_owner[li];
-            let v = nbr_verts[li];
-            slot.answers[ls as usize] =
-                Answer::Neighbor(banks[p as usize].sample(lane as usize).map(|e| e.other(v)));
-        }
-        slot.router.distribute(&mut slot.answers);
-        ShardOutcome {
-            edge_hits,
-            f1_bank: Vec::new(),
-            space_bytes,
-        }
-    }
-}
-
-/// One shard's shared-pass machine: the per-job reservoir-bank
-/// insertion pass, or the solo turnstile pass with every sampler seeded
-/// by its owner's coin. ℓ₀-samplers are per-lane independent linear
-/// sketches, so the shared turnstile pass needs no per-job banks — flat
-/// banks aligned with the merged slot lists merge across shards exactly
-/// like a solo sharded pass. Never checkpointed.
-enum MuxShardPass<'a> {
-    Insertion(MuxInsertionShardPass<'a>),
-    Turnstile(TurnstileShardPass<'a>),
-}
-
-impl<'a> MuxShardPass<'a> {
-    fn new(
-        model: Model,
-        slot: &'a mut ShardSlot,
-        ctx: &'a PassCtx,
-        plan: &RoundPlan,
-        opts: PassOpts,
-    ) -> Self {
-        match model {
-            Model::Insertion => {
-                MuxShardPass::Insertion(MuxInsertionShardPass::new(slot, &ctx.targets, plan, opts))
-            }
-            Model::Turnstile => MuxShardPass::Turnstile(TurnstileShardPass::new(
-                slot,
-                ctx,
-                |gs| plan.slot_seeds[gs as usize],
-                opts,
-            )),
-        }
-    }
-}
-
-impl FeedPass for MuxShardPass<'_> {
-    fn feed(&mut self, deliveries: &[ShardUpdate]) {
-        match self {
-            MuxShardPass::Insertion(p) => p.feed(deliveries),
-            MuxShardPass::Turnstile(p) => p.feed(deliveries),
-        }
-    }
-
-    fn slot_mut(&mut self) -> &mut ShardSlot {
-        match self {
-            MuxShardPass::Insertion(p) => p.slot,
-            MuxShardPass::Turnstile(p) => p.slot,
-        }
-    }
-
-    fn finish(self) -> ShardOutcome {
-        match self {
-            MuxShardPass::Insertion(p) => p.finish(),
-            MuxShardPass::Turnstile(p) => p.finish(),
-        }
-    }
+    /// Participant index → the job's seed run: where its batch starts in
+    /// `concat`, its private pass seed for this round, its reservoir mode.
+    runs: Vec<SeedRun>,
 }
 
 /// One shared pass over the whole merged batch, which it takes out of
-/// `plan` (a one-shard split moves it instead of copying): split, draw
-/// every participant's `f1` targets (insertion), run every shard's machine on
-/// the chosen engine, merge back. On the ring the producer runs with a
-/// stall threshold; recorded stalls are appended to `stalls` so the
-/// admission report can name the consumer a slow round was blocked on.
+/// `plan` (a one-shard split moves it instead of copying): the solo
+/// shard pass machine over one seed run per participant, on the chosen
+/// engine. On the ring the producer runs with a stall threshold;
+/// recorded stalls are appended to `stalls` so the admission report can
+/// name the consumer a slow round was blocked on.
 fn mux_pass(
     model: Model,
     plan: &mut RoundPlan,
@@ -704,25 +406,15 @@ fn mux_pass(
     stalls: &mut Vec<StallEvent>,
 ) -> (Vec<Answer>, usize) {
     let shards = feed.num_shards();
-    let mut ctx = PassCtx::split(model, std::mem::take(&mut plan.concat), feed, arena);
-    let plan = &*plan;
-    if model == Model::Insertion {
-        draw_mux_targets(
-            plan,
-            &ctx.f1_slots,
-            feed.stream_len() as u64,
-            &mut ctx.targets,
-        );
-    }
+    let batch = std::mem::take(&mut plan.concat);
+    let ctx = PassCtx::begin(model, batch, feed, plan.runs.clone(), arena);
     let slots = &mut arena.slots[..shards];
     let outcomes = match engine {
-        Engine::Sharded(policy) => run_shards(feed, slots, policy, |slot| {
-            MuxShardPass::new(model, slot, &ctx, plan, opts)
-        }),
+        Engine::Sharded(policy) => run_shards(model, feed, &ctx, slots, opts, policy),
         Engine::Ring(bcast) => {
             let passes = slots
                 .iter_mut()
-                .map(|slot| MuxShardPass::new(model, slot, &ctx, plan, opts))
+                .map(|slot| ShardPass::new(model, slot, &ctx, opts))
                 .collect::<Vec<_>>();
             let ring = Broadcast::with_stall_threshold(bcast.ring_capacity, MUX_STALL_THRESHOLD);
             let outcomes = drive_ring(feed, &ring, passes, bcast, &mut []);
@@ -738,7 +430,7 @@ mod tests {
     use super::*;
     use crate::sharded::{run_insertion_sharded_with_exec, run_turnstile_sharded_with_exec};
     use crate::PassOpts;
-    use sgs_graph::gen;
+    use sgs_graph::{gen, VertexId};
     use sgs_stream::{InsertionStream, TurnstileStream};
 
     /// A small round-adaptive fixture with data-dependent rounds: walks
@@ -842,6 +534,46 @@ mod tests {
                 assert_eq!(out.admission.rounds.len(), 4, "max depth over jobs");
                 assert_eq!(out.admission.rounds[0].participants, vec![0, 1, 2]);
                 assert_eq!(out.admission.rounds[3].participants, vec![1]);
+            }
+        }
+    }
+
+    #[test]
+    fn mux_jobs_sharing_a_vertex_group_match_solo_runs() {
+        // Same start vertex: every round, all four jobs ask Degree and
+        // RandomNeighbor of the same vertex, so one router vertex group
+        // holds lanes of every job and the shared bank splits it into
+        // same-mode cohorts Skip | Offer | Skip+Skip (the last shared by
+        // two jobs).
+        let g = gen::gnm(16, 60, 51);
+        let ins = InsertionStream::from_graph(&g, 52);
+        let specs = [
+            (3u32, 3usize, 110u64, ReservoirMode::Skip),
+            (3, 2, 120, ReservoirMode::Offer),
+            (3, 3, 130, ReservoirMode::Skip),
+            (3, 1, 140, ReservoirMode::Skip),
+        ];
+        for shards in [1usize, 3] {
+            let feed = ShardedFeed::partition(&ins, shards);
+            for block in [0usize, 64] {
+                let mut set = QuerySet::new();
+                for &(start, depth, seed, mode) in &specs {
+                    set.admit(Walker::new(start, depth), seed, mode);
+                }
+                let mut arena = RouterArena::new();
+                let out = set.run_insertion(
+                    &feed,
+                    &mut arena,
+                    PassOpts::with_block(block),
+                    ExecPolicy::serial(),
+                );
+                for (j, &(start, depth, seed, mode)) in specs.iter().enumerate() {
+                    let solo = solo_insertion(&feed, start, depth, seed, mode, block);
+                    assert_eq!(
+                        out.outputs[j], solo,
+                        "job {j}, {shards} shards, block {block}"
+                    );
+                }
             }
         }
     }

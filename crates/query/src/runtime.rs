@@ -42,7 +42,7 @@ use crate::exec::PassOpts;
 use crate::policy::{host_cores, pin_current_thread, ExecPolicy};
 use crate::query::{Answer, Query};
 use crate::router::Model;
-use crate::sharded::{FeedPass, PassCtx, ShardOutcome, ShardPass};
+use crate::sharded::{PassCtx, SeedRun, ShardOutcome, ShardPass};
 use sgs_stream::broadcast::{Broadcast, BroadcastConsumer, RoutedProducer, TryNext};
 use sgs_stream::sharded::{ShardUpdate, ShardedFeed};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -59,7 +59,6 @@ struct Task {
     sub_batch: Vec<Query>,
     slot_map: Vec<u32>,
     ctx: Arc<PassCtx>,
-    pass_seed: u64,
     opts: PassOpts,
 }
 
@@ -88,7 +87,7 @@ fn worker_loop(sid: usize, pin_core: Option<usize>, tasks: Receiver<Task>, repli
         slot.sub_batch = task.sub_batch;
         slot.slot_map = task.slot_map;
         let t0 = Instant::now();
-        let mut pass = ShardPass::new(task.model, &mut slot, &task.ctx, task.pass_seed, task.opts);
+        let mut pass = ShardPass::new(task.model, &mut slot, &task.ctx, task.opts);
         for block in task.consumer {
             filter_block(&block, sid, &mut scratch);
             pass.feed(&scratch);
@@ -246,7 +245,8 @@ impl ShardRuntime {
             self.shards,
             "runtime sized for a different shard count"
         );
-        let ctx = Arc::new(PassCtx::begin(model, batch, feed, pass_seed, arena));
+        let runs = SeedRun::solo(pass_seed, opts);
+        let ctx = Arc::new(PassCtx::begin(model, batch, feed, runs, arena));
         let ring = Broadcast::new(bcast.ring_capacity);
         let shard_consumers: Vec<BroadcastConsumer> =
             (0..self.shards).map(|_| ring.subscribe()).collect();
@@ -261,7 +261,6 @@ impl ShardRuntime {
                     sub_batch: std::mem::take(&mut slot.sub_batch),
                     slot_map: std::mem::take(&mut slot.slot_map),
                     ctx: Arc::clone(&ctx),
-                    pass_seed,
                     opts,
                 })
                 .expect("shard worker gone");

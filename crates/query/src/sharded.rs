@@ -14,7 +14,8 @@
 //! This is the only pass machine: a single stream is a one-shard feed
 //! (the [`crate::exec`] entry points partition it so), and at one shard
 //! the batch moves whole into slot 0, whose router answers every kind
-//! but `f1`.
+//! but `f1`. A multiplexed round ([`crate::multiplex`]) is the same pass
+//! over a batch of several seed runs ([`SeedRun`]), one per participant.
 //!
 //! **Equivalence, not approximation.** The sharded pass produces answers
 //! byte-identical to the frozen `crate::reference` oracle for every
@@ -25,7 +26,8 @@
 //!   stream order, so degree counts, watcher arrivals, and neighbor
 //!   sampler offer sequences are unchanged;
 //! * samplers are seeded by their **global** batch slot
-//!   (`split_seed(pass_seed, slot)`), the same coins the reference
+//!   (`split_seed(pass_seed, slot)` in a solo round, relative to the
+//!   slot's seed run in a multiplexed one), the same coins the reference
 //!   executors hand out;
 //! * `f1` targets are drawn from the pass rng in batch order before any
 //!   shard runs — the same draw sequence as a single-stream pass — and
@@ -57,7 +59,7 @@ use sgs_graph::{Edge, VertexId};
 use sgs_stream::hash::{split_seed, FastRng};
 use sgs_stream::l0::L0Sampler;
 use sgs_stream::persist::{frame, read_frame_of, Decoder, Encoder, PersistResult, KIND_PASS_STATE};
-use sgs_stream::reservoir::ReservoirBank;
+use sgs_stream::reservoir::{ReservoirBank, ReservoirMode};
 use sgs_stream::sharded::{ShardUpdate, ShardedFeed};
 use sgs_stream::EdgeUpdate;
 use std::time::Instant;
@@ -103,23 +105,50 @@ pub(crate) fn sort_targets(targets: &mut Vec<(u64, u32)>, stream_len: u64) {
     *targets = sorted;
 }
 
+/// One contiguous run of a round's batch whose samplers share one coin
+/// chain: a solo round is one run, a multiplexed round one run per
+/// participant. The query at global slot `g` of the run is the
+/// `g − start`-th query of its own batch.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct SeedRun {
+    /// First global batch slot of the run.
+    pub(crate) start: u32,
+    /// The run's pass seed: the coins of its solo pass.
+    pub(crate) pass_seed: u64,
+    /// Acceptance scheme of the run's relaxed-`f3` reservoirs.
+    pub(crate) reservoir: ReservoirMode,
+}
+
+impl SeedRun {
+    /// The one run of a solo round.
+    pub(crate) fn solo(pass_seed: u64, opts: PassOpts) -> Vec<SeedRun> {
+        vec![SeedRun {
+            start: 0,
+            pass_seed,
+            reservoir: opts.reservoir,
+        }]
+    }
+}
+
 /// What every shard pass of one round shares: the driver-side half of
-/// the batch. Built by the pass prologue ([`PassCtx::split`] /
-/// [`PassCtx::begin`]), consumed by the epilogue ([`PassCtx::finish`]).
+/// the batch and its seed runs. Built by the pass prologue
+/// ([`PassCtx::begin`]), consumed by the epilogue ([`PassCtx::finish`]).
 /// Its buffers are per-pass state, like the samplers: the arena does not
 /// keep them.
 pub(crate) struct PassCtx {
-    pub(crate) num_vertices: usize,
+    num_vertices: usize,
     batch_len: usize,
+    /// The round's seed runs, ascending by `start`; the first starts at 0.
+    runs: Vec<SeedRun>,
     /// The round's `EdgeCount` global slots, answered from the feed's
     /// net delta.
     count_slots: Vec<u32>,
     /// The round's `RandomEdge` global slots, in batch order. Turnstile
     /// `f1` ℓ₀-banks are seeded by, and answer, these slots.
-    pub(crate) f1_slots: Vec<u32>,
+    f1_slots: Vec<u32>,
     /// Insertion: the round's `f1` position targets `(position, global
     /// slot)`, sorted by position. Empty in the turnstile model.
-    pub(crate) targets: Vec<(u64, u32)>,
+    targets: Vec<(u64, u32)>,
 }
 
 impl PassCtx {
@@ -133,12 +162,24 @@ impl PassCtx {
     /// With one shard the batch moves whole into slot 0 with an identity
     /// slot map: no copy, and slot 0's router sees every query, exactly
     /// as a single-stream pass would.
-    pub(crate) fn split(
+    ///
+    /// Then draw the `f1` position targets (insertion; the turnstile
+    /// ℓ₀-banks keep the `f1` slots): each run's from `FastRng(its pass
+    /// seed)` in its own batch order — the exact coin sequence of its solo
+    /// pass and of the frozen reference executors — sorted by position
+    /// for cursor matching. Hits scatter to disjoint slots, so merging
+    /// runs' targets cannot leak coins between them.
+    pub(crate) fn begin(
         model: Model,
         batch: Vec<Query>,
         feed: &ShardedFeed,
+        runs: Vec<SeedRun>,
         arena: &mut RouterArena,
     ) -> Self {
+        debug_assert!(
+            runs.first().is_some_and(|r| r.start == 0),
+            "runs must tile the batch"
+        );
         let map = feed.shard_map();
         let shards = map.num_shards();
         arena.ensure_shards(shards);
@@ -149,6 +190,7 @@ impl PassCtx {
         let mut ctx = PassCtx {
             num_vertices: feed.num_vertices(),
             batch_len: batch.len(),
+            runs,
             count_slots: Vec::new(),
             f1_slots: Vec::new(),
             targets: Vec::new(),
@@ -186,34 +228,42 @@ impl PassCtx {
         if shards == 1 {
             arena.slots[0].sub_batch = batch;
         }
-        ctx
-    }
-
-    /// The solo pass prologue: [`PassCtx::split`], then draw the `f1`
-    /// position targets (insertion) or keep the `f1` slots for the
-    /// ℓ₀-banks (turnstile).
-    ///
-    /// Targets are drawn centrally from the pass rng in batch order —
-    /// the exact coin sequence of the frozen reference executors — then
-    /// sorted by position for cursor matching.
-    pub(crate) fn begin(
-        model: Model,
-        batch: Vec<Query>,
-        feed: &ShardedFeed,
-        pass_seed: u64,
-        arena: &mut RouterArena,
-    ) -> Self {
-        let mut ctx = PassCtx::split(model, batch, feed, arena);
         let stream_len = feed.stream_len() as u64;
         if model == Model::Insertion && stream_len > 0 {
-            let mut rng = FastRng::seed_from_u64(pass_seed);
+            // `f1_slots` ascends and runs are contiguous, so each run's
+            // slots arrive together, in its own batch order.
+            let mut run = 0;
+            let mut rng = FastRng::seed_from_u64(ctx.runs[0].pass_seed);
             ctx.targets.reserve_exact(ctx.f1_slots.len());
             for &slot in &ctx.f1_slots {
+                let r = ctx.run_index(slot);
+                if r != run {
+                    run = r;
+                    rng = FastRng::seed_from_u64(ctx.runs[r].pass_seed);
+                }
                 ctx.targets.push((rng.gen_range(0..stream_len), slot));
             }
             sort_targets(&mut ctx.targets, stream_len);
         }
         ctx
+    }
+
+    /// Index of the seed run holding global slot `slot`.
+    #[inline]
+    fn run_index(&self, slot: u32) -> usize {
+        self.runs.partition_point(|r| r.start <= slot) - 1
+    }
+
+    /// The sampler seed of global slot `slot`: `split_seed(run pass
+    /// seed, slot within the run's own batch)` — solo seeding verbatim —
+    /// and the run's reservoir mode.
+    #[inline]
+    fn lane(&self, slot: u32) -> (u64, ReservoirMode) {
+        let run = &self.runs[self.run_index(slot)];
+        (
+            split_seed(run.pass_seed, (slot - run.start) as u64),
+            run.reservoir,
+        )
     }
 
     /// The pass epilogue: merge shard-local answers and driver-kept
@@ -306,7 +356,7 @@ pub(crate) fn match_targets(
 pub(crate) struct InsertionShardPass<'a> {
     slot: &'a mut ShardSlot,
     targets: &'a [(u64, u32)],
-    opts: PassOpts,
+    block: usize,
     reservoirs: ReservoirBank<Edge>,
     edge_hits: Vec<(u32, Edge)>,
     cursor: usize,
@@ -316,29 +366,27 @@ pub(crate) struct InsertionShardPass<'a> {
 impl<'a> InsertionShardPass<'a> {
     /// Rebuild the pooled router and seed the pass state. The
     /// relaxed-f3 reservoir bank is aligned with the shard router's
-    /// pooled slots and seeded by *global* batch slot — the
-    /// single-stream coins. A neighbor sampler's vertex lives entirely
-    /// in this shard, so its offer (and therefore draw) sequence is
-    /// exactly the single-stream one in either reservoir mode.
-    pub(crate) fn new(
-        slot: &'a mut ShardSlot,
-        targets: &'a [(u64, u32)],
-        pass_seed: u64,
-        opts: PassOpts,
-    ) -> Self {
+    /// pooled slots; each lane takes its seed and mode from its global
+    /// slot's seed run — the single-stream coins of its own solo pass. A
+    /// neighbor sampler's vertex lives entirely in this shard, so its
+    /// offer (and therefore draw) sequence is exactly the single-stream
+    /// one in either reservoir mode. Lanes of different runs share a
+    /// vertex group in a multiplexed round; the bank splits the group's
+    /// cohort only where the mode changes.
+    pub(crate) fn new(slot: &'a mut ShardSlot, ctx: &'a PassCtx, opts: PassOpts) -> Self {
         slot.router.rebuild(&slot.sub_batch, Model::Insertion);
-        let mut reservoirs: ReservoirBank<Edge> = ReservoirBank::from_seeds(
+        let mut reservoirs: ReservoirBank<Edge> = ReservoirBank::from_lanes(
             slot.router
                 .neighbor_slots()
                 .iter()
-                .map(|&ls| split_seed(pass_seed, slot.global_slot(ls) as u64)),
-            opts.reservoir,
+                .map(|&ls| ctx.lane(slot.global_slot(ls))),
+            ctx.runs[0].reservoir,
         );
         reservoirs.bind_cohorts(slot.router.neighbor_group_ranges());
         InsertionShardPass {
             slot,
-            targets,
-            opts,
+            targets: &ctx.targets,
+            block: opts.block,
             reservoirs,
             edge_hits: Vec::new(),
             cursor: 0,
@@ -349,7 +397,7 @@ impl<'a> InsertionShardPass<'a> {
     /// Absorb the next run of deliveries (global stream order, possibly
     /// a partial prefix — callable repeatedly).
     pub(crate) fn feed(&mut self, deliveries: &[ShardUpdate]) {
-        let block = self.opts.block;
+        let block = self.block;
         if block <= 1 {
             for su in deliveries {
                 match_targets(self.targets, &mut self.cursor, &mut self.edge_hits, su);
@@ -388,8 +436,9 @@ impl<'a> InsertionShardPass<'a> {
     /// words included), the `f1` position hits recorded so far, and the
     /// target cursor. The router, targets, and batch are *not* included
     /// — they are rebuilt deterministically by [`InsertionShardPass::new`]
-    /// from the round's batch and pass seed, so a restored pass resumes
-    /// byte-identically from the snapshot's delivery boundary.
+    /// from the round's batch and seed run, so a restored pass resumes
+    /// byte-identically from the snapshot's delivery boundary. Only solo
+    /// passes are checkpointed, so the bank is always uniform.
     pub(crate) fn snapshot_state(&self) -> Vec<u8> {
         let mut enc = Encoder::new();
         enc.u8(0); // model tag: insertion
@@ -406,7 +455,7 @@ impl<'a> InsertionShardPass<'a> {
 
     /// Restore mid-pass state captured by
     /// [`InsertionShardPass::snapshot_state`] into a freshly built pass
-    /// over the same batch, targets, pass seed, and options.
+    /// over the same batch, seed runs, and options.
     pub(crate) fn restore_state(&mut self, bytes: &[u8]) -> PersistResult<()> {
         let f = read_frame_of(bytes, 0, KIND_PASS_STATE)?;
         let mut dec = Decoder::new(f.payload);
@@ -469,7 +518,7 @@ impl<'a> InsertionShardPass<'a> {
 /// One shard's turnstile-model pass as a resumable state machine (see
 /// [`InsertionShardPass`]).
 pub(crate) struct TurnstileShardPass<'a> {
-    pub(crate) slot: &'a mut ShardSlot,
+    slot: &'a mut ShardSlot,
     opts: PassOpts,
     f1_bank: Vec<L0Sampler>,
     nbr_samplers: Vec<L0Sampler>,
@@ -480,30 +529,24 @@ pub(crate) struct TurnstileShardPass<'a> {
 
 impl<'a> TurnstileShardPass<'a> {
     /// Rebuild the pooled router and seed the sketch banks, every
-    /// sampler by its global batch slot through `lane_seed` (a solo pass
-    /// uses `split_seed(pass_seed, slot)`; a multiplexed one, the slot
-    /// owner's solo coin). Every shard keeps the full `f1` bank,
+    /// sampler by its global batch slot's seed run (the solo coin of the
+    /// slot's own pass). Every shard keeps the full `f1` bank,
     /// identically seeded, and feeds it *owned* deliveries only: merging
     /// the banks across shards reassembles the exact single-stream
     /// sketch state (ℓ₀-samplers are linear).
-    pub(crate) fn new(
-        slot: &'a mut ShardSlot,
-        ctx: &PassCtx,
-        lane_seed: impl Fn(u32) -> u64,
-        opts: PassOpts,
-    ) -> Self {
+    pub(crate) fn new(slot: &'a mut ShardSlot, ctx: &PassCtx, opts: PassOpts) -> Self {
         slot.router.rebuild(&slot.sub_batch, Model::Turnstile);
         let num_vertices = ctx.num_vertices;
         let f1_bank: Vec<L0Sampler> = ctx
             .f1_slots
             .iter()
-            .map(|&gs| L0Sampler::for_edge_domain(num_vertices, lane_seed(gs)))
+            .map(|&gs| L0Sampler::for_edge_domain(num_vertices, ctx.lane(gs).0))
             .collect();
         let nbr_samplers: Vec<L0Sampler> = slot
             .router
             .neighbor_slots()
             .iter()
-            .map(|&ls| L0Sampler::for_edge_domain(num_vertices, lane_seed(slot.global_slot(ls))))
+            .map(|&ls| L0Sampler::for_edge_domain(num_vertices, ctx.lane(slot.global_slot(ls)).0))
             .collect();
         let nbr_verts: Vec<VertexId> = slot.router.neighbor_vertices().collect();
         TurnstileShardPass {
@@ -596,7 +639,7 @@ impl<'a> TurnstileShardPass<'a> {
 
     /// Restore mid-pass state captured by
     /// [`TurnstileShardPass::snapshot_state`] into a freshly built pass
-    /// over the same batch, `f1` slots, and pass seed.
+    /// over the same batch, `f1` slots, and seed run.
     pub(crate) fn restore_state(&mut self, bytes: &[u8]) -> PersistResult<()> {
         let f = read_frame_of(bytes, 0, KIND_PASS_STATE)?;
         let mut dec = Decoder::new(f.payload);
@@ -663,57 +706,53 @@ impl<'a> TurnstileShardPass<'a> {
     }
 }
 
-/// What the pass drivers ([`run_shards`], [`crate::broadcast::drive_ring`])
-/// need of one shard's pass machine: absorb deliveries in global stream
-/// order (possibly a partial prefix — callable repeatedly), note the feed
-/// time, and report the outcome at end of stream. [`ShardPass`] is the
-/// solo implementation; the multiplexer brings its own.
-pub(crate) trait FeedPass {
-    /// Absorb the next run of deliveries.
-    fn feed(&mut self, deliveries: &[ShardUpdate]);
-
-    /// The arena slot this pass runs over.
-    fn slot_mut(&mut self) -> &mut ShardSlot;
-
-    /// End of stream: fill shard-local answers and report the outcome.
-    fn finish(self) -> ShardOutcome;
-
-    /// Record this pass's feed duration into its arena slot, for the
-    /// arena's per-shard critical-path telemetry.
-    fn record_pass_nanos(&mut self, nanos: u64) {
-        self.slot_mut().pass_nanos.push(nanos);
-    }
-}
-
-/// One shard's solo pass state machine for one round, in either stream
-/// model: the one type the sharded, ring, runtime and checkpointed
-/// engines feed.
+/// One shard's pass state machine for one round, in either stream model:
+/// the one type the sharded, ring, runtime, checkpointed and multiplexed
+/// engines feed. Every sampler takes its coins from its global slot's
+/// seed run in the [`PassCtx`], so a solo round (one run) and a
+/// multiplexed one (a run per participant) are the same machine.
 pub(crate) enum ShardPass<'a> {
     Insertion(InsertionShardPass<'a>),
     Turnstile(TurnstileShardPass<'a>),
 }
 
 impl<'a> ShardPass<'a> {
-    /// Build `model`'s pass over `slot` for a solo round: every sampler is
-    /// seeded by `split_seed(pass_seed, global slot)`, the reference
-    /// executors' coins.
+    /// Build `model`'s pass over `slot` for the round `ctx` describes.
     pub(crate) fn new(
         model: Model,
         slot: &'a mut ShardSlot,
         ctx: &'a PassCtx,
-        pass_seed: u64,
         opts: PassOpts,
     ) -> Self {
         match model {
-            Model::Insertion => {
-                ShardPass::Insertion(InsertionShardPass::new(slot, &ctx.targets, pass_seed, opts))
-            }
-            Model::Turnstile => ShardPass::Turnstile(TurnstileShardPass::new(
-                slot,
-                ctx,
-                |gs| split_seed(pass_seed, gs as u64),
-                opts,
-            )),
+            Model::Insertion => ShardPass::Insertion(InsertionShardPass::new(slot, ctx, opts)),
+            Model::Turnstile => ShardPass::Turnstile(TurnstileShardPass::new(slot, ctx, opts)),
+        }
+    }
+
+    /// Absorb the next run of deliveries, in global stream order
+    /// (possibly a partial prefix — callable repeatedly).
+    pub(crate) fn feed(&mut self, deliveries: &[ShardUpdate]) {
+        match self {
+            ShardPass::Insertion(p) => p.feed(deliveries),
+            ShardPass::Turnstile(p) => p.feed(deliveries),
+        }
+    }
+
+    /// Record this pass's feed duration into its arena slot, for the
+    /// arena's per-shard critical-path telemetry.
+    pub(crate) fn record_pass_nanos(&mut self, nanos: u64) {
+        match self {
+            ShardPass::Insertion(p) => p.slot.pass_nanos.push(nanos),
+            ShardPass::Turnstile(p) => p.slot.pass_nanos.push(nanos),
+        }
+    }
+
+    /// End of stream: fill shard-local answers and report the outcome.
+    pub(crate) fn finish(self) -> ShardOutcome {
+        match self {
+            ShardPass::Insertion(p) => p.finish(),
+            ShardPass::Turnstile(p) => p.finish(),
         }
     }
 
@@ -736,43 +775,22 @@ impl<'a> ShardPass<'a> {
     }
 }
 
-impl FeedPass for ShardPass<'_> {
-    fn feed(&mut self, deliveries: &[ShardUpdate]) {
-        match self {
-            ShardPass::Insertion(p) => p.feed(deliveries),
-            ShardPass::Turnstile(p) => p.feed(deliveries),
-        }
-    }
-
-    fn slot_mut(&mut self) -> &mut ShardSlot {
-        match self {
-            ShardPass::Insertion(p) => p.slot,
-            ShardPass::Turnstile(p) => p.slot,
-        }
-    }
-
-    fn finish(self) -> ShardOutcome {
-        match self {
-            ShardPass::Insertion(p) => p.finish(),
-            ShardPass::Turnstile(p) => p.finish(),
-        }
-    }
-}
-
 /// Run one pass over every shard's private buffer, threaded or inline
 /// per the injected [`ExecPolicy`], collecting outcomes in shard order.
-/// `make` builds each shard's pass machine; the solo drivers and the
-/// multiplexer differ only there.
-pub(crate) fn run_shards<'a, P: FeedPass>(
+/// Each shard's [`ShardPass`] is built from `ctx` on its own worker, for
+/// solo and multiplexed rounds alike.
+pub(crate) fn run_shards(
+    model: Model,
     feed: &ShardedFeed,
-    slots: &'a mut [ShardSlot],
+    ctx: &PassCtx,
+    slots: &mut [ShardSlot],
+    opts: PassOpts,
     policy: ExecPolicy,
-    make: impl Fn(&'a mut ShardSlot) -> P + Sync,
 ) -> Vec<ShardOutcome> {
     feed.begin_pass();
-    let work = |sid: usize, slot: &'a mut ShardSlot| {
+    let work = |sid: usize, slot: &mut ShardSlot| {
         let t0 = Instant::now();
-        let mut pass = make(slot);
+        let mut pass = ShardPass::new(model, slot, ctx, opts);
         pass.feed(feed.shard(sid));
         pass.record_pass_nanos(t0.elapsed().as_nanos() as u64);
         pass.finish()
@@ -848,11 +866,9 @@ pub fn answer_batch_sharded(
     opts: PassOpts,
     policy: ExecPolicy,
 ) -> (Vec<Answer>, usize) {
-    let ctx = PassCtx::begin(model, batch, feed, pass_seed, arena);
+    let ctx = PassCtx::begin(model, batch, feed, SeedRun::solo(pass_seed, opts), arena);
     let shards = feed.num_shards();
-    let outcomes = run_shards(feed, &mut arena.slots[..shards], policy, |slot| {
-        ShardPass::new(model, slot, &ctx, pass_seed, opts)
-    });
+    let outcomes = run_shards(model, feed, &ctx, &mut arena.slots[..shards], opts, policy);
     ctx.finish(model, feed, arena, outcomes)
 }
 
@@ -906,7 +922,6 @@ mod tests {
     use super::*;
     use crate::exec::answer_batch;
     use sgs_graph::gen;
-    use sgs_stream::reservoir::ReservoirMode;
     use sgs_stream::{InsertionStream, TurnstileStream};
 
     fn mixed_insertion_batch() -> Vec<Query> {

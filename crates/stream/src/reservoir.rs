@@ -47,6 +47,17 @@
 //! cohort path is byte-identical to the per-lane skip walk (pure
 //! bookkeeping; pinned by a unit test), so equivalence arguments only
 //! ever compare the two acceptance schemes.
+//!
+//! ## Per-lane modes
+//!
+//! Lanes are independent, so one bank may mix modes
+//! ([`ReservoirBank::from_lanes`]): each lane draws exactly the coins a
+//! single-mode bank in its mode would. This is how one multiplexed pass
+//! serves jobs that asked for different schemes. Binding splits each
+//! pooled range only where the mode changes, so a range offer walks the
+//! same-mode cohorts that tile it; an offer-mode cohort is due on every
+//! offer and draws per lane. A bank whose lanes share one mode is a
+//! uniform bank, with the single-mode path and persisted bytes.
 
 use crate::hash::split_seed;
 use crate::hash::FastRng;
@@ -191,7 +202,10 @@ struct Cohort {
 /// to a single clock-vs-minimum compare.
 #[derive(Clone, Debug)]
 pub struct ReservoirBank<T> {
+    /// Every lane's mode in a uniform bank (`lane_modes` empty).
     mode: ReservoirMode,
+    /// A mixed bank's per-lane modes; empty when every lane runs `mode`.
+    lane_modes: Vec<ReservoirMode>,
     rngs: Vec<FastRng>,
     seen: Vec<u64>,
     /// Skip mode: per-lane 1-based offer index of the next acceptance.
@@ -227,10 +241,30 @@ impl<T: Copy> ReservoirBank<T> {
     /// keeps sharded and single-stream passes on identical coins — this
     /// constructor is that seam.
     pub fn from_seeds(seeds: impl IntoIterator<Item = u64>, mode: ReservoirMode) -> Self {
-        let rngs: Vec<FastRng> = seeds.into_iter().map(FastRng::seed_from_u64).collect();
+        Self::from_lanes(seeds.into_iter().map(|s| (s, mode)), mode)
+    }
+
+    /// One lane per `(seed, mode)`, in iteration order. When every lane
+    /// runs one mode the bank is uniform in it — exactly
+    /// [`ReservoirBank::from_seeds`]; `mode` is the mode of an empty bank.
+    pub fn from_lanes(
+        lanes: impl IntoIterator<Item = (u64, ReservoirMode)>,
+        mut mode: ReservoirMode,
+    ) -> Self {
+        let (rngs, mut lane_modes): (Vec<FastRng>, Vec<ReservoirMode>) = lanes
+            .into_iter()
+            .map(|(seed, m)| (FastRng::seed_from_u64(seed), m))
+            .unzip();
+        if let Some(&first) = lane_modes.first() {
+            if lane_modes.iter().all(|&m| m == first) {
+                mode = first;
+                lane_modes = Vec::new();
+            }
+        }
         let k = rngs.len();
         ReservoirBank {
             mode,
+            lane_modes,
             rngs,
             seen: vec![0; k],
             next_accept: vec![1; k],
@@ -241,20 +275,22 @@ impl<T: Copy> ReservoirBank<T> {
         }
     }
 
-    /// Declare disjoint contiguous lane cohorts — pooled ranges that will
-    /// only ever be offered items *together*, via
-    /// [`ReservoirBank::offer_cohort`] with exactly these bounds (the
-    /// router-fed shape: one cohort per vertex group). Must be called on
-    /// a fresh bank, before any offers.
+    /// Declare disjoint contiguous lane ranges that will only ever be
+    /// offered items *together*, via [`ReservoirBank::offer_cohort`] with
+    /// exactly these bounds (the router-fed shape: one range per vertex
+    /// group). Each range becomes one cohort per maximal same-mode run of
+    /// its lanes — one cohort in a uniform bank. Must be called on a fresh
+    /// bank, before any offers.
     ///
     /// In skip mode a cohort offer is then O(1) — bump the cohort clock,
     /// compare against the cached minimum `next_accept` — and the
     /// per-lane planes are touched only when some lane is due
     /// (`O(cohort + accepts)` over a pass instead of
     /// `O(cohort · offers)`). In offer mode cohorts change nothing (the
-    /// oracle's coins are per-offer by definition).
+    /// oracle's coins are per-offer by definition): a mixed bank's
+    /// offer-mode cohorts are due on every offer.
     pub fn bind_cohorts(&mut self, ranges: impl IntoIterator<Item = (u32, u32)>) {
-        if self.mode != ReservoirMode::Skip {
+        if self.lane_modes.is_empty() && self.mode != ReservoirMode::Skip {
             // Offer mode has no fast path to feed (every offer draws by
             // definition), so keep the bank cohort-free: offers go
             // through the per-lane oracle walk and `seen()` reads the
@@ -267,52 +303,93 @@ impl<T: Copy> ReservoirBank<T> {
         );
         self.cohort_of_start = vec![u32::MAX; self.len()];
         for (start, end) in ranges {
-            if end <= start {
-                continue;
-            }
             debug_assert!((end as usize) <= self.len());
             debug_assert!(
                 self.cohorts.last().is_none_or(|c| c.end <= start),
                 "cohorts must arrive in ascending, disjoint order"
             );
-            self.cohort_of_start[start as usize] = self.cohorts.len() as u32;
-            self.cohorts.push(Cohort {
-                start,
-                end,
-                seen: 0,
-                // All lanes start with next_accept = 1.
-                min_next: 1,
-            });
-        }
-    }
-
-    /// Offer an item to the cohort spanning exactly `start..end`. Falls
-    /// back to [`ReservoirBank::offer_range`] when the range is not a
-    /// bound cohort (or in offer mode, whose per-offer coin sequence is
-    /// the oracle contract).
-    #[inline]
-    pub fn offer_cohort(&mut self, start: usize, end: usize, item: T) {
-        if self.mode == ReservoirMode::Skip {
-            if let Some(&c) = self.cohort_of_start.get(start) {
-                if c != u32::MAX {
-                    let co = &mut self.cohorts[c as usize];
-                    if co.end as usize == end {
-                        co.seen += 1;
-                        debug_assert!(co.seen <= co.min_next, "cohort clock ran past min_next");
-                        if co.seen == co.min_next {
-                            self.cohort_walk(c as usize, item);
-                        }
-                        return;
+            let mut s = start;
+            while s < end {
+                let mut e = end;
+                if !self.lane_modes.is_empty() {
+                    let m = self.lane_modes[s as usize];
+                    e = s + 1;
+                    while e < end && self.lane_modes[e as usize] == m {
+                        e += 1;
                     }
                 }
+                self.cohort_of_start[s as usize] = self.cohorts.len() as u32;
+                self.cohorts.push(Cohort {
+                    start: s,
+                    end: e,
+                    seen: 0,
+                    // All lanes start with next_accept = 1.
+                    min_next: 1,
+                });
+                s = e;
             }
         }
-        self.offer_range(start, end, item);
     }
 
-    /// Slow path of a cohort offer: at least one lane's `next_accept` is
-    /// due at the current cohort clock. Walk the lanes once — accept and
-    /// reschedule the due ones, recompute the cached minimum.
+    /// Offer an item to the bound cohorts tiling exactly `start..end`.
+    /// Falls back to [`ReservoirBank::offer_range`] when no cohort starts
+    /// at `start` (an unbound range, or a uniform offer-mode bank, whose
+    /// per-offer coin sequence is the oracle contract).
+    #[inline]
+    pub fn offer_cohort(&mut self, start: usize, end: usize, item: T) {
+        let Some(&c) = self.cohort_of_start.get(start) else {
+            return self.offer_range(start, end, item);
+        };
+        if c == u32::MAX {
+            return self.offer_range(start, end, item);
+        }
+        let mut c = c as usize;
+        loop {
+            let co = &mut self.cohorts[c];
+            debug_assert!(
+                co.end as usize <= end,
+                "offer_cohort({start}..{end}) splits a cohort"
+            );
+            co.seen += 1;
+            debug_assert!(co.seen <= co.min_next, "cohort clock ran past min_next");
+            let (last, lane) = (co.end as usize >= end, co.start as usize);
+            if co.seen == co.min_next {
+                if self.lane_mode(lane) == ReservoirMode::Skip {
+                    self.cohort_walk(c, item);
+                } else {
+                    self.cohort_offer(c, item);
+                }
+            }
+            if last {
+                return;
+            }
+            c += 1;
+        }
+    }
+
+    /// An offer-mode cohort's offer: one per-offer coin per lane at the
+    /// cohort clock — the coins of [`ReservoirBank::offer_range`] — and
+    /// due again on the next offer.
+    fn cohort_offer(&mut self, c: usize, item: T) {
+        let Cohort {
+            start,
+            end,
+            seen: t,
+            ..
+        } = self.cohorts[c];
+        for lane in start as usize..end as usize {
+            self.draws += 1;
+            if self.rngs[lane].gen_range(0..t) == 0 {
+                self.current[lane] = Some(item);
+            }
+        }
+        self.cohorts[c].min_next = t + 1;
+    }
+
+    /// Slow path of a skip-mode cohort offer: at least one lane's
+    /// `next_accept` is due at the current cohort clock. Walk the lanes
+    /// once — accept and reschedule the due ones, recompute the cached
+    /// minimum.
     #[cold]
     fn cohort_walk(&mut self, c: usize, item: T) {
         let Cohort {
@@ -333,9 +410,14 @@ impl<T: Copy> ReservoirBank<T> {
         self.cohorts[c].min_next = min_next;
     }
 
-    /// The bank's acceptance mode.
-    pub fn mode(&self) -> ReservoirMode {
-        self.mode
+    /// Lane `lane`'s acceptance mode.
+    #[inline]
+    pub fn lane_mode(&self, lane: usize) -> ReservoirMode {
+        if self.lane_modes.is_empty() {
+            self.mode
+        } else {
+            self.lane_modes[lane]
+        }
     }
 
     /// Slow path of a skip-mode acceptance: record the win, redraw the
@@ -366,7 +448,19 @@ impl<T: Copy> ReservoirBank<T> {
                 .all(|c| end <= c.start as usize || c.end as usize <= start),
             "offer_range({start}..{end}) overlaps a bound cohort — use offer_cohort"
         );
-        match self.mode {
+        if !self.lane_modes.is_empty() {
+            for lane in start..end {
+                self.offer_lanes(self.lane_modes[lane], lane, lane + 1, item);
+            }
+            return;
+        }
+        self.offer_lanes(self.mode, start, end, item);
+    }
+
+    /// [`ReservoirBank::offer_range`] over lanes that all run `mode`.
+    #[inline]
+    fn offer_lanes(&mut self, mode: ReservoirMode, start: usize, end: usize, item: T) {
+        match mode {
             ReservoirMode::Offer => {
                 for lane in start..end {
                     let s = self.seen[lane] + 1;
@@ -429,9 +523,9 @@ impl<T: Copy> ReservoirBank<T> {
             "offer_batch on a cohort-bound bank — use offer_cohort per pooled range"
         );
         let l = items.len() as u64;
-        match self.mode {
-            ReservoirMode::Offer => {
-                for lane in 0..self.rngs.len() {
+        for lane in 0..self.rngs.len() {
+            match self.lane_mode(lane) {
+                ReservoirMode::Offer => {
                     let mut s = self.seen[lane];
                     for &item in items {
                         s += 1;
@@ -442,9 +536,7 @@ impl<T: Copy> ReservoirBank<T> {
                     }
                     self.seen[lane] = s;
                 }
-            }
-            ReservoirMode::Skip => {
-                for lane in 0..self.rngs.len() {
+                ReservoirMode::Skip => {
                     let base = self.seen[lane];
                     let end = base + l;
                     let mut na = self.next_accept[lane];
@@ -521,10 +613,18 @@ impl<T: Copy> ReservoirBank<T> {
     /// *geometry* (count, mode, cohort bounds) is encoded too, but only
     /// as a cross-check: restore applies onto a freshly constructed and
     /// cohort-bound bank and rejects any mismatch.
+    ///
+    /// Only uniform banks are snapshotted: the format holds one mode, and
+    /// the one pass that mixes modes — a multiplexed round — is never
+    /// checkpointed.
     pub fn to_persist_bytes(&self) -> Vec<u8>
     where
         T: PersistItem,
     {
+        debug_assert!(
+            self.lane_modes.is_empty(),
+            "mixed-mode banks are never snapshotted"
+        );
         let mut enc = Encoder::new();
         enc.u8(match self.mode {
             ReservoirMode::Offer => 0,
@@ -642,10 +742,11 @@ impl<T: Copy> ReservoirBank<T> {
     }
 
     /// Semantic per-pass footprint: RNG state + the three SoA planes,
-    /// plus the cohort clocks when bound.
+    /// plus a mixed bank's mode plane and the cohort clocks when bound.
     pub fn space_bytes(&self) -> usize {
         use std::mem::size_of;
         self.len() * (size_of::<FastRng>() + 2 * size_of::<u64>() + size_of::<Option<T>>())
+            + self.lane_modes.len() * size_of::<ReservoirMode>()
             + self.cohorts.len() * size_of::<Cohort>()
             + self.cohort_of_start.len() * size_of::<u32>()
     }
@@ -927,6 +1028,83 @@ mod tests {
             assert_eq!(by_cohort.samples(), by_range.samples(), "{mode:?}");
             assert_eq!(by_cohort.seen_counts(), by_range.seen_counts(), "{mode:?}");
             assert_eq!(by_cohort.rng_draws(), by_range.rng_draws(), "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn mixed_mode_bank_matches_single_mode_banks_lane_for_lane() {
+        // Lanes are independent: a mixed bank fed through offer_cohort
+        // must reproduce, lane for lane, single-mode banks holding the
+        // same lanes and fed the same offers. The groups mix modes, so
+        // binding splits them into same-mode cohorts; the last range is
+        // left unbound and goes through the per-lane fallback.
+        use ReservoirMode::{Offer, Skip};
+        let modes = [
+            Offer, Offer, Skip, Skip, Skip, Offer, Skip, Offer, Offer, Skip, Skip, Skip, Skip,
+            Offer,
+        ];
+        let ranges = [(0u32, 5u32), (5, 8), (8, 12), (12, 14)];
+        let groups = &ranges[..3];
+        let seed = |lane: usize| split_seed(0x31d, lane as u64);
+        let mut mixed: ReservoirBank<u32> =
+            ReservoirBank::from_lanes((0..modes.len()).map(|l| (seed(l), modes[l])), Skip);
+        mixed.bind_cohorts(groups.iter().copied());
+        // Single-mode banks: each mode's lanes in lane order; `index[l]`
+        // is lane `l`'s position in its own mode's bank.
+        let lanes_of = |m| (0..modes.len()).filter(move |&l| modes[l] == m);
+        let mut index = vec![0usize; modes.len()];
+        for m in [Offer, Skip] {
+            for (i, l) in lanes_of(m).enumerate() {
+                index[l] = i;
+            }
+        }
+        let sub = |m, (s, e): (u32, u32)| {
+            let v: Vec<usize> = (s as usize..e as usize)
+                .filter(|&l| modes[l] == m)
+                .collect();
+            v.first().map(|&a| (index[a], index[a] + v.len()))
+        };
+        let mut single: Vec<ReservoirBank<u32>> = [Offer, Skip]
+            .into_iter()
+            .map(|m| ReservoirBank::from_seeds(lanes_of(m).map(seed), m))
+            .collect();
+        single[1].bind_cohorts(
+            groups
+                .iter()
+                .filter_map(|&g| sub(Skip, g))
+                .map(|(a, b)| (a as u32, b as u32)),
+        );
+        for i in 0..3000u32 {
+            let g = ranges[(i as usize * 7) % 4];
+            mixed.offer_cohort(g.0 as usize, g.1 as usize, i);
+            for (bank, m) in single.iter_mut().zip([Offer, Skip]) {
+                if let Some((a, b)) = sub(m, g) {
+                    bank.offer_cohort(a, b, i);
+                }
+            }
+        }
+        for (l, &m) in modes.iter().enumerate() {
+            let bank = &single[(m == Skip) as usize];
+            assert_eq!(mixed.lane_mode(l), m);
+            assert_eq!(mixed.sample(l), bank.sample(index[l]), "lane {l}");
+            assert_eq!(mixed.seen(l), bank.seen(index[l]), "lane {l}");
+        }
+        assert_eq!(
+            mixed.rng_draws(),
+            single[0].rng_draws() + single[1].rng_draws()
+        );
+        // A bank whose lanes share one mode is the uniform bank: same
+        // bytes as `from_seeds`, whatever the empty-bank mode says.
+        for m in [Offer, Skip] {
+            let seeds = || (0..5).map(seed);
+            let uniform: ReservoirBank<u64> =
+                ReservoirBank::from_lanes(seeds().map(|s| (s, m)), Offer);
+            let plain: ReservoirBank<u64> = ReservoirBank::from_seeds(seeds(), m);
+            assert_eq!(
+                uniform.to_persist_bytes(),
+                plain.to_persist_bytes(),
+                "{m:?}"
+            );
         }
     }
 

@@ -61,6 +61,19 @@ impl Args {
         n
     }
 
+    /// `--eps E` (`default` when absent): the relative error every
+    /// estimator divides by, so it must be finite and above 0 — checked
+    /// before anything touches the disk; anything else exits 2 naming the
+    /// flag.
+    fn eps(&self, default: f64) -> f64 {
+        let eps: f64 = self.num("eps", default);
+        if !(eps.is_finite() && eps > 0.0) {
+            eprintln!("error: --eps must be a finite number > 0, got {eps}");
+            exit(2);
+        }
+        eps
+    }
+
     fn has(&self, name: &str) -> bool {
         self.flags.iter().any(|(k, _)| k == name)
     }
@@ -515,9 +528,9 @@ fn exec_policy(args: &Args) -> ExecPolicy {
 /// shared pass per round, reporting per-query estimates plus aggregate
 /// throughput and the admission report's slow-query diagnosis.
 fn run_multi_count(args: &Args, queries_path: &str, seed: u64) {
+    let eps = args.eps(0.2);
     let src = load_source(args);
     let m = src.live_edges();
-    let eps: f64 = args.num("eps", 0.2);
     let shards: usize = args.shards();
     let block: usize = args.num("block", sgs_query::exec::DEFAULT_BLOCK);
     let opts = PassOpts::with_block(block).l0(parse_l0(args));
@@ -547,7 +560,8 @@ fn run_multi_count(args: &Args, queries_path: &str, seed: u64) {
             exit(2);
         };
         if spec.trials == 0 {
-            spec.trials = sgs_core::fgp::practical_trials(m, plan.rho(), eps, 1.0).min(2_000_000);
+            spec.trials = sgs_core::fgp::practical_trials(m, plan.rho(), eps, 1.0)
+                .min(sgs_core::fgp::MAX_TRIALS);
         }
     }
     let policy = exec_policy(args);
@@ -631,9 +645,9 @@ fn bits_suffix(enabled: bool, estimate: f64) -> String {
 /// broadcast ring (`--broadcast`), or durably (`--checkpoint-dir`).
 fn run_count(args: &Args, seed: u64) {
     let pattern = need_pattern(args);
+    let eps = args.eps(0.2);
     let src = load_source(args);
     let m = src.live_edges();
-    let eps: f64 = args.num("eps", 0.2);
     let plan = match SamplerPlan::new(&pattern) {
         Some(p) => p,
         None => {
@@ -641,7 +655,8 @@ fn run_count(args: &Args, seed: u64) {
             exit(2);
         }
     };
-    let default_trials = sgs_core::fgp::practical_trials(m, plan.rho(), eps, 1.0).min(2_000_000);
+    let default_trials =
+        sgs_core::fgp::practical_trials(m, plan.rho(), eps, 1.0).min(sgs_core::fgp::MAX_TRIALS);
     let trials: usize = args.num("trials", default_trials);
     // --shards N fans the stream out over N hash-partitioned feed shards
     // (one router + worker per shard); answers are merged exactly, so the
@@ -887,6 +902,7 @@ fn main() {
             };
             let dir = PathBuf::from(&dirs);
             let defaults = sgs_query::ServeConfig::default();
+            let eps = args.eps(0.2);
             let flag_cfg = sgs_query::ServeConfig {
                 shards: args.shards(),
                 wal_block: args.num("wal-block", sgs_query::DEFAULT_SERVE_BLOCK).max(1),
@@ -975,7 +991,7 @@ fn main() {
                 policy,
                 pass: PassOpts::with_block(args.num("block", sgs_query::exec::DEFAULT_BLOCK))
                     .l0(parse_l0(&args)),
-                eps: args.num("eps", 0.2),
+                eps,
             };
             let snap = sgs_core::run_server(node, listeners, serve_opts)
                 .unwrap_or_else(|e| fail_persist(e));
@@ -1136,8 +1152,8 @@ fn main() {
         }
         "search" => {
             let pattern = need_pattern(&args);
+            let eps = args.eps(0.25);
             let g = load_graph(&args);
-            let eps: f64 = args.num("eps", 0.25);
             let cap: usize = args.num("max-trials", 1_000_000);
             let s = InsertionStream::from_graph(&g, seed ^ 0x77);
             let res = sgs_core::fgp::search_count_insertion(&pattern, &s, eps, seed, cap)
@@ -1152,9 +1168,9 @@ fn main() {
             );
         }
         "cliques" => {
+            let eps = args.eps(0.3);
             let g = load_graph(&args);
             let r: usize = args.num("r", 3);
-            let eps: f64 = args.num("eps", 0.3);
             let instances: usize = args.num("instances", 5);
             let lambda = sgs_graph::degeneracy::degeneracy(&g);
             let s = InsertionStream::from_graph(&g, seed ^ 0x77);

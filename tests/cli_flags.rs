@@ -157,13 +157,19 @@ fn shards_out_of_range_exit_2_naming_the_flag() {
         assert_usage_error(&out, &["--shards", bad]);
     }
     std::fs::remove_file(&edges).unwrap();
+    serve_refuses("shards", &["--shards", "70000"]);
+}
 
-    // `sgs serve` must refuse before it writes anything: a CONFIG left
-    // behind would make every later restart of the directory fail.
-    let dir = std::env::temp_dir().join(format!("sgs-cli-serve-shards-{}", std::process::id()));
+/// `sgs serve DIR FLAGS` must exit 2 naming the flag before it writes
+/// anything: a CONFIG left behind would make every later restart of the
+/// directory fail.
+fn serve_refuses(tag: &str, flags: &[&str]) {
+    let dir = std::env::temp_dir().join(format!("sgs-cli-serve-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let mut child = Command::new(BIN)
-        .args(["serve", dir.to_str().unwrap(), "--shards", "70000"])
+        .arg("serve")
+        .arg(&dir)
+        .args(flags)
         .stdout(std::process::Stdio::piped())
         .stderr(std::process::Stdio::piped())
         .spawn()
@@ -172,14 +178,39 @@ fn shards_out_of_range_exit_2_naming_the_flag() {
     while child.try_wait().unwrap().is_none() {
         if std::time::Instant::now() > deadline {
             let _ = child.kill();
-            panic!("sgs serve --shards 70000 did not exit");
+            panic!("sgs serve {flags:?} did not exit");
         }
         std::thread::sleep(std::time::Duration::from_millis(20));
     }
     let out = child.wait_with_output().unwrap();
-    assert_usage_error(&out, &["--shards", "70000"]);
+    assert_usage_error(&out, flags);
     assert!(!dir.join("CONFIG").exists(), "serve wrote CONFIG");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn eps_must_be_finite_and_positive() {
+    // Every estimator divides by eps (or asserts eps > 0): 0, negative
+    // and NaN used to abort inside the library, inf to run one trial.
+    let edges = edges_file("eps");
+    let e = edges.to_str().unwrap();
+    let queries = std::env::temp_dir().join(format!("sgs-cli-eps-q-{}.txt", std::process::id()));
+    std::fs::write(&queries, "triangle\n").unwrap();
+    let q = queries.to_str().unwrap();
+    for bad in ["0", "-1", "nan", "inf"] {
+        for args in [
+            &["count", "--edges", e, "--pattern", "triangle"][..],
+            &["count", "--edges", e, "--queries", q],
+            &["search", "--edges", e, "--pattern", "triangle"],
+            &["cliques", "--edges", e, "-r", "4"],
+        ] {
+            let out = sgs(&[args, &["--eps", bad]].concat());
+            assert_usage_error(&out, &["--eps"]);
+        }
+    }
+    serve_refuses("eps", &["--eps", "0"]);
+    std::fs::remove_file(&edges).unwrap();
+    std::fs::remove_file(&queries).unwrap();
 }
 
 #[test]
@@ -241,4 +272,57 @@ fn shard_count_never_changes_the_bits() {
         );
     }
     std::fs::remove_file(&edges).unwrap();
+}
+
+/// Every `bits=` word of a successful run's stdout, in order.
+fn bits_words(out: &Output) -> Vec<String> {
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8_lossy(&out.stdout)
+        .split_whitespace()
+        .filter(|w| w.starts_with("bits="))
+        .map(str::to_string)
+        .collect()
+}
+
+#[test]
+fn multiplexed_bits_match_solo_bits() {
+    // An offer-mode and a skip-mode relaxed job share every insertion
+    // pass of `--queries`; each must still print its solo run's bits.
+    let edges = random_edges_file("muxbits", 60, 400);
+    let e = edges.to_str().unwrap();
+    let queries =
+        std::env::temp_dir().join(format!("sgs-cli-muxbits-q-{}.txt", std::process::id()));
+    std::fs::write(
+        &queries,
+        "triangle trials=3000 seed=5 relaxed reservoir=offer\n\
+         triangle trials=3000 seed=5 relaxed\n",
+    )
+    .unwrap();
+    for shards in ["1", "3"] {
+        let common = [
+            "count", "--edges", e, "--seed", "5", "--bits", "--shards", shards,
+        ];
+        let mux = bits_words(&sgs(&[
+            &common[..],
+            &["--queries", queries.to_str().unwrap()],
+        ]
+        .concat()));
+        let solo = |extra: &[&str]| {
+            let args = [
+                &common[..],
+                &["--pattern", "triangle", "--trials", "3000", "--relaxed"],
+                extra,
+            ];
+            bits_words(&sgs(&args.concat()))
+        };
+        let expected = [solo(&["--reservoir", "offer"]), solo(&[])].concat();
+        assert_eq!(expected.len(), 2);
+        assert_eq!(mux, expected, "{shards} shards");
+    }
+    std::fs::remove_file(&edges).unwrap();
+    std::fs::remove_file(&queries).unwrap();
 }

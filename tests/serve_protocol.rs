@@ -289,6 +289,15 @@ fn concurrent_clients_interleave_ingest_and_queries() {
         &["--pattern", "triangle", "--trials", "50", "--seed", "7"],
     );
     assert_eq!(live, batch);
+    // A trial count past the cap is refused, and the session and node
+    // carry on serving.
+    let over = subgraph_streams::core::fgp::MAX_TRIALS + 1;
+    let refused = feeder.send(&format!("COUNT triangle trials={over} seed=7"));
+    assert!(refused.starts_with("ERR "), "{refused}");
+    assert_eq!(
+        bits_of(&feeder.send("COUNT triangle trials=50 seed=7")),
+        live
+    );
     assert_eq!(feeder.send("QUIT"), "BYE");
     wait_shutdown(proc);
 }
