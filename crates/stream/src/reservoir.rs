@@ -55,8 +55,8 @@
 //! single-mode bank in its mode would. This is how one multiplexed pass
 //! serves jobs that asked for different schemes. Binding splits each
 //! pooled range only where the mode changes, so a range offer walks the
-//! same-mode cohorts that tile it; an offer-mode cohort is due on every
-//! offer and draws per lane. A bank whose lanes share one mode is a
+//! same-mode cohorts that tile it; an offer-mode cohort draws one coin
+//! per lane on every offer. A bank whose lanes share one mode is a
 //! uniform bank, with the single-mode path and persisted bytes.
 
 use crate::hash::split_seed;
@@ -212,10 +212,10 @@ pub struct ReservoirBank<T> {
     /// Offer mode leaves the plane at its init value and never reads it.
     next_accept: Vec<u64>,
     current: Vec<Option<T>>,
-    /// Skip-mode cohorts (sorted by `start`, disjoint); empty unless
+    /// Cohorts (sorted by `start`, disjoint); empty unless
     /// [`ReservoirBank::bind_cohorts`] was called. Lanes inside a cohort
-    /// keep their logical offer count in `Cohort::seen`; their slots in
-    /// the `seen` plane are not maintained per offer.
+    /// keep their logical offer count in `Cohort::seen`; a skip-mode
+    /// cohort's slots in the `seen` plane are not maintained per offer.
     cohorts: Vec<Cohort>,
     /// Lane start index → cohort id (`u32::MAX` = unbound).
     cohort_of_start: Vec<u32>,
@@ -288,7 +288,7 @@ impl<T: Copy> ReservoirBank<T> {
     /// (`O(cohort + accepts)` over a pass instead of
     /// `O(cohort · offers)`). In offer mode cohorts change nothing (the
     /// oracle's coins are per-offer by definition): a mixed bank's
-    /// offer-mode cohorts are due on every offer.
+    /// offer-mode cohorts take the per-lane oracle walk on every offer.
     pub fn bind_cohorts(&mut self, ranges: impl IntoIterator<Item = (u32, u32)>) {
         if self.lane_modes.is_empty() && self.mode != ReservoirMode::Skip {
             // Offer mode has no fast path to feed (every offer draws by
@@ -351,39 +351,22 @@ impl<T: Copy> ReservoirBank<T> {
                 "offer_cohort({start}..{end}) splits a cohort"
             );
             co.seen += 1;
-            debug_assert!(co.seen <= co.min_next, "cohort clock ran past min_next");
-            let (last, lane) = (co.end as usize >= end, co.start as usize);
-            if co.seen == co.min_next {
-                if self.lane_mode(lane) == ReservoirMode::Skip {
+            let (lo, hi, t, min_next) = (co.start as usize, co.end as usize, co.seen, co.min_next);
+            if self.lane_mode(lo) == ReservoirMode::Offer {
+                // Per-lane `seen` advances in step with the cohort clock,
+                // so these are the coins of `offer_range`.
+                self.offer_lanes(ReservoirMode::Offer, lo, hi, item);
+            } else {
+                debug_assert!(t <= min_next, "cohort clock ran past min_next");
+                if t == min_next {
                     self.cohort_walk(c, item);
-                } else {
-                    self.cohort_offer(c, item);
                 }
             }
-            if last {
+            if hi >= end {
                 return;
             }
             c += 1;
         }
-    }
-
-    /// An offer-mode cohort's offer: one per-offer coin per lane at the
-    /// cohort clock — the coins of [`ReservoirBank::offer_range`] — and
-    /// due again on the next offer.
-    fn cohort_offer(&mut self, c: usize, item: T) {
-        let Cohort {
-            start,
-            end,
-            seen: t,
-            ..
-        } = self.cohorts[c];
-        for lane in start as usize..end as usize {
-            self.draws += 1;
-            if self.rngs[lane].gen_range(0..t) == 0 {
-                self.current[lane] = Some(item);
-            }
-        }
-        self.cohorts[c].min_next = t + 1;
     }
 
     /// Slow path of a skip-mode cohort offer: at least one lane's
@@ -522,10 +505,14 @@ impl<T: Copy> ReservoirBank<T> {
             self.cohorts.is_empty(),
             "offer_batch on a cohort-bound bank — use offer_cohort per pooled range"
         );
+        debug_assert!(
+            self.lane_modes.is_empty(),
+            "offer_batch on a mixed-mode bank"
+        );
         let l = items.len() as u64;
-        for lane in 0..self.rngs.len() {
-            match self.lane_mode(lane) {
-                ReservoirMode::Offer => {
+        match self.mode {
+            ReservoirMode::Offer => {
+                for lane in 0..self.rngs.len() {
                     let mut s = self.seen[lane];
                     for &item in items {
                         s += 1;
@@ -536,7 +523,9 @@ impl<T: Copy> ReservoirBank<T> {
                     }
                     self.seen[lane] = s;
                 }
-                ReservoirMode::Skip => {
+            }
+            ReservoirMode::Skip => {
+                for lane in 0..self.rngs.len() {
                     let base = self.seen[lane];
                     let end = base + l;
                     let mut na = self.next_accept[lane];
